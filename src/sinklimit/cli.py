@@ -91,10 +91,8 @@ def cmd_hit(args) -> int:
         method = "limit"
     labels = [_sink_label(j, s, game) for j, s in enumerate(hit.sinks)]
     rows = {
-        profile_label(pid, game): {
-            labels[j]: float(hit.probabilities[pid, j]) for j in range(hit.num_sinks)
-        }
-        for pid in range(game.num_profiles)
+        profile_label(pid, game): dict(zip(labels, row))
+        for pid, row in enumerate(hit.probabilities.tolist())
     }
     payload = {
         "schema": SCHEMA_VERSION,

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import solver
 from .errors import ContractViolation
@@ -208,7 +209,8 @@ class HittingMatrix:
     `probabilities[i, j]` is the limit probability that the chain started at
     original node `i` is absorbed by sink `j`; sinks are indexed in the order
     of the `sinks` list (ascending smallest member).  The remaining fields
-    are driver diagnostics.
+    are diagnostics of the collapse rounds and, in `residual` and
+    `bound_excess`, of the final solve (see `solver.AbsorptionResult`).
     """
 
     probabilities: np.ndarray
@@ -216,6 +218,8 @@ class HittingMatrix:
     rounds: int = 0
     order_trace: list[int] = field(default_factory=list)
     pseudosink_counts: list[int] = field(default_factory=list)
+    residual: float = 0.0
+    bound_excess: float = 0.0
 
     @property
     def num_sinks(self) -> int:
@@ -369,19 +373,15 @@ def _stationary_within(chain: EpsilonMC, members: list[int]) -> np.ndarray:
     if len(members) == 1:
         return np.array([1.0])
     index = {v: i for i, v in enumerate(members)}
-    T = np.zeros((len(members), len(members)))
+    rows, cols, vals = [], [], []
     for v in members:
         for tgt, w in chain._reg[v].items():
-            T[index[v], index[tgt]] = w
+            rows.append(index[v])
+            cols.append(index[tgt])
+            vals.append(w)
+    n = len(members)
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return solver.stationary_distribution(T)
-
-
-def _absorption_rows(chain: EpsilonMC) -> tuple[dict[int, np.ndarray], list[int]]:
-    """Solve the (epsilon-free) chain; returns per-node rows over sinks."""
-    nodes = chain.live_nodes()
-    matrix = solver.chain_matrix(chain, nodes)
-    result = solver.absorption_probabilities(matrix)
-    return _rows_from_result(chain, nodes, result)
 
 
 def _rows_from_result(chain, nodes, result) -> tuple[dict[int, np.ndarray], list[int]]:
@@ -445,9 +445,13 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
         orders = new_orders
         trace.append(orders.max_order)
     delete_epsilon_edges(chain)
-    rows, absorbing_ids = _absorption_rows(chain)
+    nodes = chain.live_nodes()
+    result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))
+    rows, absorbing_ids = _rows_from_result(chain, nodes, result)
     probs = _expand_rows(chain, rows, len(absorbing_ids))
-    return HittingMatrix(probs, sinks, rounds, trace, pseudo_counts)
+    return HittingMatrix(
+        probs, sinks, rounds, trace, pseudo_counts, result.residual, result.bound_excess
+    )
 
 
 def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> HittingMatrix:
@@ -466,4 +470,6 @@ def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> Hitti
     result = solver.oracle_hitting_at_epsilon(chain, eps)
     rows, absorbing_ids = _rows_from_result(chain, nodes, result)
     probs = _expand_rows(chain, rows, len(absorbing_ids))
-    return HittingMatrix(probs, sinks)
+    return HittingMatrix(
+        probs, sinks, residual=result.residual, bound_excess=result.bound_excess
+    )

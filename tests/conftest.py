@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sinklimit
 from sinklimit import Game
+
+# Child interpreters started by tests (`python -m sinklimit`) must import the
+# same package as the tests, also when only pytest's `pythonpath` setting
+# put it on the path.
+_SRC = str(Path(sinklimit.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 def bimatrix(cells) -> Game:

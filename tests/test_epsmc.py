@@ -310,6 +310,12 @@ def test_fig3_exact_hitting_matrix(fig3_game):
     assert hit.pseudosink_counts == [1]
 
 
+def test_fig3_keeps_final_solve_diagnostics(fig3_game):
+    hit = limit_hitting_probabilities(fig3_game)
+    assert 0.0 <= hit.residual <= 1e-9
+    assert 0.0 <= hit.bound_excess <= 1e-9
+
+
 def test_fig2_exact_hitting_matrix(fig2_game):
     hit = limit_hitting_probabilities(fig2_game)
     assert hit.sinks == [[0, 1, 3, 4], [8]]

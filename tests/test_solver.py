@@ -1,12 +1,18 @@
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sinklimit import (
     EpsilonMC,
+    Game,
     SolverConvergenceError,
     StochasticMatrix,
     absorption_probabilities,
+    limit_hitting_probabilities,
     oracle_hitting_at_epsilon,
     oracle_hitting_matrix,
     random_game,
@@ -64,7 +70,7 @@ def test_stationary_random_dense_chain_residual():
         assert np.all(pi > 0)
 
 
-def test_stationary_large_periodic_cycle_uses_sparse_path():
+def test_stationary_large_periodic_cycle():
     n = 600
     T = sp.csr_matrix(
         (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)
@@ -123,6 +129,85 @@ def test_absorption_invariants_on_random_chains():
         assert res.bound_excess <= 1e-12
         np.testing.assert_allclose(res.hitting.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(res.hitting >= 0) and np.all(res.hitting <= 1)
+
+
+def test_absorption_slowly_mixing_gamblers_ruin():
+    # A fair walk on 0..n-1 needs ~n^2 steps to be absorbed, so any solver
+    # whose progress depends on mixing stalls here.
+    n = 5000
+    inner = np.arange(1, n - 1)
+    P = sp.csr_matrix(
+        (np.full(2 * (n - 2), 0.5), (np.r_[inner, inner], np.r_[inner - 1, inner + 1])),
+        shape=(n, n),
+    )
+    mask = np.zeros(n, dtype=bool)
+    mask[[0, n - 1]] = True
+    start = time.perf_counter()
+    res = absorption_probabilities(StochasticMatrix(P, mask))
+    elapsed = time.perf_counter() - start
+    np.testing.assert_allclose(res.hitting[:, 1], inner / (n - 1), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.hitting[:, 0], 1 - inner / (n - 1), rtol=0, atol=1e-9)
+    assert elapsed < 1.0
+
+
+def test_absorption_large_random_sparse_chain_matches_dense_solve():
+    rng = np.random.default_rng(21)
+    t, k, per_row = 2100, 30, 4
+    n = t + k
+    rows = np.repeat(np.arange(t), per_row)
+    cols = rng.integers(0, n, size=rows.size)
+    keep = rows != cols
+    P = sp.csr_matrix(
+        (rng.random(keep.sum()) + 0.05, (rows[keep], cols[keep])), shape=(n, n)
+    )
+    P = P + sp.csr_matrix(
+        (np.full(t, 0.02), (np.arange(t), rng.integers(t, n, size=t))), shape=(n, n)
+    )
+    # Absorbing rows are empty; the clip only keeps their scale finite.
+    P = sp.csr_matrix(sp.diags(1.0 / np.asarray(P.sum(axis=1)).ravel().clip(1e-300)) @ P)
+    mask = np.zeros(n, dtype=bool)
+    mask[t:] = True
+    res = absorption_probabilities(StochasticMatrix(P, mask))
+
+    dense = P.toarray()
+    Q = dense[:t, :t]
+    R = dense[:t, t:]
+    reference = np.linalg.solve(np.eye(t) - Q, R)
+    np.testing.assert_allclose(res.hitting, reference, rtol=0, atol=1e-12)
+    assert res.residual < 1e-9
+    assert res.bound_excess <= 1e-12
+    np.testing.assert_allclose(res.hitting.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(res.hitting >= 0) and np.all(res.hitting <= 1)
+
+
+def test_absorption_keeps_exact_zeros_for_unreachable_sinks(monkeypatch):
+    # The final chain of this identical-interest game is one where LU with
+    # row interchanges turned some zero hitting probabilities into rounding
+    # noise; the subtraction-free state reduction is zero exactly where a
+    # sink is unreachable.
+    u = np.random.default_rng(1).integers(0, 13, size=2**8).astype(float)
+    chains = []
+
+    def capture(chain):
+        chains.append(chain)
+        return absorption_probabilities(chain)
+
+    monkeypatch.setattr("sinklimit.solver.absorption_probabilities", capture)
+    limit_hitting_probabilities(Game((2,) * 8, (u,) * 8))
+    hitting = absorption_probabilities(chains[0]).hitting
+    unreachable = absorption_probabilities(chains[0], stable=True).hitting == 0
+    assert unreachable.any()
+    assert np.all(hitting[unreachable] == 0.0)
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # Loading scipy.sparse.linalg costs tens of milliseconds; the solver
+    # reaches it lazily so that `import sinklimit` does not pay for it.
+    code = "import sys, sinklimit; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_absorption_reports_stranded_state():
