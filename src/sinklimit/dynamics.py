@@ -8,13 +8,11 @@ nearest pure profile stays inside that sink for a window of consecutive
 steps and the state passes close to a vertex at least once in the window.
 
 Replicate runs draw their noise from per-run generators seeded by a
-splittable (root, sample, run) scheme, so results are bit-identical whether
-runs execute serially or in parallel.
+splittable (root, sample, run) scheme, so results are bit-identical for a
+given root seed.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +34,6 @@ class ReplicatorParams:
     window: int = 50
     rng_seed: int = 0
     vertex_tolerance: float = 0.05
-    br_mode: str = "support"  # or "global": argmax over all strategies, zeroed off-support
 
     def __post_init__(self):
         if self.eta <= 0 or self.delta <= 0:
@@ -47,8 +44,6 @@ class ReplicatorParams:
             raise ValueError("window must be at least 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.br_mode not in ("support", "global"):
-            raise ValueError(f"unknown br_mode {self.br_mode!r}")
 
 
 @dataclass
@@ -95,6 +90,18 @@ def check_mixed_profile(game: Game, x) -> None:
             raise ValueError(f"player {i} vector sums to {xi.sum()!r}")
         if not np.any(xi > 0):
             raise ValueError(f"player {i} vector has empty support")
+
+
+def _check_pure_weights(weights) -> np.ndarray:
+    """Weights of a pure prior as a float array: finite, nonnegative, summing to 1."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("pure prior weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("pure prior weights must be nonnegative")
+    if abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"pure prior weights sum to {w.sum()!r}, not 1")
+    return w
 
 
 def vertex_profile(game: Game, profile_id: int, smoothing: float = 0.0):
@@ -144,11 +151,7 @@ class Prior:
 
     @classmethod
     def pure(cls, weights, vertex_smoothing: float = 0.1) -> "Prior":
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("pure prior weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"pure prior weights sum to {w.sum()!r}, not 1")
+        w = _check_pure_weights(weights)
         return cls("pure", weights=tuple(float(v) for v in w),
                    vertex_smoothing=vertex_smoothing)
 
@@ -282,14 +285,9 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray):
     for i in range(p):
         eu = _expected_utilities_batch(game, X, i)
         mask = X[i] > 0
-        if params.br_mode == "support":
-            idx = np.argmax(np.where(mask, eu, -np.inf), axis=1)
-            valid = np.ones(runs, dtype=bool)
-        else:
-            idx = np.argmax(eu, axis=1)
-            valid = mask[np.arange(runs), idx]
+        idx = np.argmax(np.where(mask, eu, -np.inf), axis=1)
         V = X[i].copy()
-        V[np.arange(runs), idx] += params.eta * valid
+        V[np.arange(runs), idx] += params.eta
         V += params.delta * noise_row[:, offsets[i] : offsets[i + 1]] * mask
         out.append(_project_rows(V, mask, params.extinction_floor))
     return out
@@ -384,8 +382,8 @@ def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
 
 def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorParams,
                                 tv_tol: float = 0.01, *, runs_per_sample: int = 40,
-                                max_samples: int = 512, checkpoint_every: int = 8,
-                                sinks=None, workers=None) -> LimitDistribution:
+                                max_samples: int = 512,
+                                checkpoint_every: int = 8) -> LimitDistribution:
     """Empirical limit distribution over the sinks of `game`.
 
     Draws start profiles from `prior`, runs `runs_per_sample` independent
@@ -393,13 +391,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     of the per-run outcomes.  Stops when the total-variation distance between
     the running averages at successive checkpoints (every `checkpoint_every`
     samples) drops below `tv_tol`, or at the `max_samples` budget.
-    Deterministic given `params.rng_seed`; the worker count (default from
-    SINKLIMIT_THREADS) does not affect the result.
+    Deterministic given `params.rng_seed`.
     """
     if tv_tol <= 0:
         raise ValueError("tv_tol must be positive")
-    if sinks is None:
-        sinks = sink_equilibria(build_response_graph(game))
+    sinks = sink_equilibria(build_response_graph(game))
     lookup = _sink_lookup(game, sinks)
     k = len(sinks)
     root = int(params.rng_seed)
@@ -414,35 +410,23 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
         ]
         return _simulate_batch(game, x0, lookup, params, rngs)
 
-    if workers is None:
-        workers = int(os.environ.get("SINKLIMIT_THREADS", "1") or 1)
-    workers = max(1, workers)
-
     checkpoints = []
     tv_trace = []
     converged = False
     samples = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while samples < max_samples and not converged:
-            block = range(samples, min(samples + checkpoint_every, max_samples))
-            if pool is not None:
-                outcomes = list(pool.map(one_sample, block))
-            else:
-                outcomes = [one_sample(i) for i in block]
-            for res in outcomes:
-                counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
-            samples += len(outcomes)
-            dist = counts / counts.sum()
-            if checkpoints:
-                tv = total_variation(dist, checkpoints[-1])
-                tv_trace.append(tv)
-                if tv < tv_tol:
-                    converged = True
-            checkpoints.append(dist)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while samples < max_samples and not converged:
+        block = range(samples, min(samples + checkpoint_every, max_samples))
+        for s_idx in block:
+            res = one_sample(s_idx)
+            counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
+        samples += len(block)
+        dist = counts / counts.sum()
+        if checkpoints:
+            tv = total_variation(dist, checkpoints[-1])
+            tv_trace.append(tv)
+            if tv < tv_tol:
+                converged = True
+        checkpoints.append(dist)
     final = checkpoints[-1]
     return LimitDistribution(
         sink_probabilities=final[:k],
@@ -460,15 +444,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
 def exact_limit_distribution(game: Game, pure_prior, tie_tolerance: float = 0.0) -> LimitDistribution:
     """Exact limit distribution for a prior supported on pure profiles:
     the prior-weighted average of the limit hitting probability rows."""
-    w = np.asarray(pure_prior, dtype=float)
+    w = _check_pure_weights(pure_prior)
     if w.shape != (game.num_profiles,):
         raise ValueError(
             f"pure prior needs {game.num_profiles} weights, got {w.shape}"
         )
-    if np.any(w < 0):
-        raise ValueError("pure prior weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"pure prior weights sum to {w.sum()!r}, not 1")
     hit = limit_hitting_probabilities(game, tie_tolerance)
     return LimitDistribution(
         sink_probabilities=w @ hit.probabilities,

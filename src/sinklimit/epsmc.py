@@ -18,8 +18,7 @@ import scipy.sparse as sp
 
 from . import solver
 from .errors import ContractViolation
-from .scc import strongly_connected_components
-from .unionfind import UnionFind
+from .scc import sink_components, strongly_connected_components
 
 _ROW_SUM_TOL = 1e-12
 
@@ -29,19 +28,16 @@ class EpsilonMC:
 
     Parallel edges of the same class are merged on insertion, self-loops are
     never stored, and for every non-absorbing node with at least one regular
-    out-edge the regular out-weights sum to one.  A union-find structure maps
-    the original node ids to whatever collapsed node currently represents
-    them.
+    out-edge the regular out-weights sum to one.  Only out-rows are stored.
+    `origin[i]` is the live node that currently represents original node `i`.
     """
 
     def __init__(self, num_nodes: int):
         self.num_original = num_nodes
         self._reg: dict[int, dict[int, float]] = {v: {} for v in range(num_nodes)}
         self._eps: dict[int, dict[int, float]] = {v: {} for v in range(num_nodes)}
-        self._reg_in: dict[int, set[int]] = {v: set() for v in range(num_nodes)}
-        self._eps_in: dict[int, set[int]] = {v: set() for v in range(num_nodes)}
         self.absorbing: set[int] = set()
-        self.origin = UnionFind(num_nodes)
+        self.origin = np.arange(num_nodes)
 
     @classmethod
     def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=(), validate=True):
@@ -64,7 +60,6 @@ class EpsilonMC:
         if weight <= 0.0:
             raise ContractViolation(f"regular edge {u}->{v} has weight {weight} <= 0")
         self._reg[u][v] = self._reg[u].get(v, 0.0) + weight
-        self._reg_in[v].add(u)
 
     def add_eps(self, u: int, v: int, coeff: float) -> None:
         if u == v:
@@ -72,7 +67,6 @@ class EpsilonMC:
         if coeff <= 0.0:
             raise ContractViolation(f"eps edge {u}->{v} has coefficient {coeff} <= 0")
         self._eps[u][v] = self._eps[u].get(v, 0.0) + coeff
-        self._eps_in[v].add(u)
 
     # -- queries -----------------------------------------------------------
 
@@ -97,15 +91,13 @@ class EpsilonMC:
 
     def current(self, original_id: int) -> int:
         """Live node currently representing an original node id."""
-        return self.origin.find(original_id)
+        return int(self.origin[original_id])
 
     def copy(self) -> "EpsilonMC":
         dup = EpsilonMC(0)
         dup.num_original = self.num_original
         dup._reg = {v: dict(d) for v, d in self._reg.items()}
         dup._eps = {v: dict(d) for v, d in self._eps.items()}
-        dup._reg_in = {v: set(s) for v, s in self._reg_in.items()}
-        dup._eps_in = {v: set(s) for v, s in self._eps_in.items()}
         dup.absorbing = set(self.absorbing)
         dup.origin = self.origin.copy()
         return dup
@@ -125,61 +117,47 @@ class EpsilonMC:
 
     # -- mutation ----------------------------------------------------------
 
-    def _collapse(self, members, *, make_absorbing=False, new_regular=None) -> int:
-        """Replace `members` with a single node (their smallest id).
+    def _collapse(self, groups, *, make_absorbing=False, new_rows=None) -> None:
+        """Replace each group of members with a single node (its smallest id).
 
-        Incoming edges are redirected and merged per class; edges among the
-        members vanish.  Outgoing edges of the members are dropped, so the
-        caller must supply the collapsed node's regular out-row via
-        `new_regular` unless the node becomes absorbing.
+        The members' out-rows are dropped and every live row is relabelled
+        in one pass, merging parallel edges per class; edges among the
+        members of a group vanish.  Unless the nodes become absorbing, the
+        caller supplies each collapsed node's regular out-row in `new_rows`,
+        over targets as they were before the collapse.
         """
-        members_set = frozenset(members)
-        rep = min(members_set)
-        incoming_reg: dict[int, float] = {}
-        incoming_eps: dict[int, float] = {}
-        for m in members_set:
-            for src in self._reg_in[m]:
-                if src not in members_set:
-                    incoming_reg[src] = incoming_reg.get(src, 0.0) + self._reg[src][m]
-            for src in self._eps_in[m]:
-                if src not in members_set:
-                    incoming_eps[src] = incoming_eps.get(src, 0.0) + self._eps[src][m]
-        for m in members_set:
-            for tgt in self._reg[m]:
-                self._reg_in[tgt].discard(m)
-            for tgt in self._eps[m]:
-                self._eps_in[tgt].discard(m)
-            for src in self._reg_in[m]:
-                if src not in members_set:
-                    del self._reg[src][m]
-            for src in self._eps_in[m]:
-                if src not in members_set:
-                    del self._eps[src][m]
-        for m in members_set:
+        rep_of: dict[int, int] = {}
+        reps = []
+        for members in groups:
+            rep = min(members)
+            reps.append(rep)
+            for m in members:
+                rep_of[m] = rep
+        for m in rep_of:
             del self._reg[m]
             del self._eps[m]
-            del self._reg_in[m]
-            del self._eps_in[m]
             self.absorbing.discard(m)
-        self._reg[rep] = {}
-        self._eps[rep] = {}
-        self._reg_in[rep] = set(incoming_reg)
-        self._eps_in[rep] = set(incoming_eps)
-        for src, w in incoming_reg.items():
-            self._reg[src][rep] = w
-        for src, c in incoming_eps.items():
-            self._eps[src][rep] = c
-        for m in members_set:
-            if m != rep:
-                self.origin.union_into(rep, m)
-        if make_absorbing:
-            self.absorbing.add(rep)
-        if new_regular:
-            for y in sorted(new_regular):
-                if y in members_set:
-                    raise ContractViolation("collapsed node cannot point into itself")
-                self.add_regular(rep, y, new_regular[y])
-        return rep
+        for i, rep in enumerate(reps):
+            self._reg[rep] = {}
+            self._eps[rep] = {}
+            if make_absorbing:
+                self.absorbing.add(rep)
+            if new_rows:
+                for y in sorted(new_rows[i]):
+                    if rep_of.get(y) == rep:
+                        raise ContractViolation("collapsed node cannot point into itself")
+                    self.add_regular(rep, y, new_rows[i][y])
+        for rows in (self._reg, self._eps):
+            for v, row in rows.items():
+                if not rep_of.keys().isdisjoint(row):
+                    merged: dict[int, float] = {}
+                    for t, w in row.items():
+                        t = rep_of.get(t, t)
+                        merged[t] = merged.get(t, 0.0) + w
+                    rows[v] = merged
+        label = np.arange(self.num_original)
+        label[list(rep_of)] = list(rep_of.values())
+        self.origin = label[self.origin]
 
 
 @dataclass
@@ -250,8 +228,7 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
                     raise ContractViolation(
                         f"eps edge {m}->{tgt} leaves supposed sink {sink}"
                     )
-    for sink in sinks:
-        chain._collapse(sink, make_absorbing=True)
+    chain._collapse(sinks, make_absorbing=True)
     return chain
 
 
@@ -288,6 +265,12 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
     """
     if not chain.absorbing:
         raise ContractViolation("chain has no absorbing nodes")
+    reg_in: dict[int, list[int]] = {v: [] for v in chain._reg}
+    eps_in: dict[int, list[int]] = {v: [] for v in chain._reg}
+    for into, rows in ((reg_in, chain._reg), (eps_in, chain._eps)):
+        for u, row in rows.items():
+            for t in row:
+                into[t].append(u)
     dist: dict[int, int] = {}
     dq: deque[tuple[int, int]] = deque()
     for a in sorted(chain.absorbing):
@@ -297,11 +280,11 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
         v, d = dq.popleft()
         if d > dist[v]:
             continue
-        for src in chain._reg_in[v]:
+        for src in reg_in[v]:
             if src not in dist or d < dist[src]:
                 dist[src] = d
                 dq.appendleft((src, d))
-        for src in chain._eps_in[v]:
+        for src in eps_in[v]:
             if src not in dist or d + 1 < dist[src]:
                 dist[src] = d + 1
                 dq.append((src, d + 1))
@@ -317,8 +300,17 @@ def collapse_pseudosink(chain: EpsilonMC, members: list[int], pi: np.ndarray) ->
     """Collapse pseudosink `members` into one node, in place.
 
     `pi` is the stationary distribution of the pseudosink's internal
-    regular-edge chain, aligned with `sorted(members)`.  The collapsed node's
-    regular out-edges to each external target y get weight
+    regular-edge chain, aligned with `sorted(members)`; see `_exit_row` for
+    the collapsed node's out-row.
+    """
+    chain._collapse([members], new_rows=[_exit_row(chain, members, pi)])
+    return chain
+
+
+def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray) -> dict[int, float]:
+    """Regular out-row of pseudosink `members` once collapsed.
+
+    Each external target y gets weight
 
         W(y) = sum of coeff(x -> y) * pi[x]  /  total over all exits,
 
@@ -344,9 +336,7 @@ def collapse_pseudosink(chain: EpsilonMC, members: list[int], pi: np.ndarray) ->
     if not exit_mass:
         raise ContractViolation("component has no outgoing eps edge; not a pseudosink")
     denom = sum(exit_mass[y] for y in sorted(exit_mass))
-    weights = {y: exit_mass[y] / denom for y in sorted(exit_mass)}
-    chain._collapse(members, new_regular=weights)
-    return chain
+    return {y: exit_mass[y] / denom for y in sorted(exit_mass)}
 
 
 def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
@@ -361,10 +351,8 @@ def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
         raise ContractViolation(
             f"cannot delete eps edges at max order {orders.max_order} > 0"
         )
-    for v in chain.live_nodes():
-        for tgt in chain._eps[v]:
-            chain._eps_in[tgt].discard(v)
-        chain._eps[v].clear()
+    for row in chain._eps.values():
+        row.clear()
     return chain
 
 
@@ -399,27 +387,34 @@ def _rows_from_result(chain, nodes, result) -> tuple[dict[int, np.ndarray], list
 
 def _expand_rows(chain: EpsilonMC, rows: dict[int, np.ndarray], k: int) -> np.ndarray:
     out = np.zeros((chain.num_original, k))
-    for pid in range(chain.num_original):
-        out[pid] = rows[chain.current(pid)]
+    for pid, v in enumerate(chain.origin.tolist()):
+        out[pid] = rows[v]
     return out
+
+
+def _collapsed_profile_chain(game, tie_tolerance: float):
+    """Profile chain of `game` with its sinks collapsed, plus those sinks."""
+    from .game import build_cmc
+
+    cmc = build_cmc(game, tie_tolerance)
+    sinks = sink_components(
+        range(cmc.num_original), lambda v: [*cmc.regular_out(v), *cmc.eps_out(v)]
+    )
+    return from_cmc(cmc, sinks), sinks
 
 
 def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatrix:
     """Limit hitting probabilities from every pure profile of `game`.
 
     Pipeline: build the profile chain, collapse its sink components, then
-    alternate pseudosink collapse and re-partitioning until every node has a
+    collapse every pseudosink of a round together (exit rows taken from the
+    chain as the round found it) and re-partition, until every node has a
     regular path to absorption; finally drop the vanishing edges and solve
     the ordinary absorbing chain.  Each collapse round provably reduces the
     maximum order by at least one, so the loop runs at most max-order rounds;
     both guarantees are asserted and violations raise rather than loop.
     """
-    from .game import build_cmc, build_response_graph, sink_equilibria
-
-    graph = build_response_graph(game, tie_tolerance)
-    sinks = sink_equilibria(graph)
-    chain = from_cmc(build_cmc(game, tie_tolerance), sinks)
-
+    chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
     orders = node_orders(chain)
     trace = [orders.max_order]
     pseudo_counts: list[int] = []
@@ -432,9 +427,8 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
                 f"max order is {orders.max_order} but no pseudosink exists"
             )
         pseudo_counts.append(len(pseudos))
-        for members in pseudos:
-            pi = _stationary_within(chain, members)
-            collapse_pseudosink(chain, members, pi)
+        exits = [_exit_row(chain, m, _stationary_within(chain, m)) for m in pseudos]
+        chain._collapse(pseudos, new_rows=exits)
         rounds += 1
         new_orders = node_orders(chain)
         if new_orders.max_order >= orders.max_order:
@@ -461,11 +455,7 @@ def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> Hitti
     chain at a concrete small `eps` and solves it directly, with no collapse
     machinery involved.
     """
-    from .game import build_cmc, build_response_graph, sink_equilibria
-
-    graph = build_response_graph(game, tie_tolerance)
-    sinks = sink_equilibria(graph)
-    chain = from_cmc(build_cmc(game, tie_tolerance), sinks)
+    chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
     nodes = chain.live_nodes()
     result = solver.oracle_hitting_at_epsilon(chain, eps)
     rows, absorbing_ids = _rows_from_result(chain, nodes, result)

@@ -162,6 +162,13 @@ def _player_lines(game: Game, player: int):
             yield [base + t * stride for t in range(s)]
 
 
+def _check_tie_tolerance(tie_tolerance: float) -> None:
+    if not math.isfinite(tie_tolerance) or tie_tolerance < 0:
+        raise GameFormatError(
+            f"tie tolerance: expected a finite nonnegative number, got {tie_tolerance!r}"
+        )
+
+
 def build_response_graph(game: Game, tie_tolerance: float = 0.0) -> ResponseGraph:
     """Better-or-equal response graph of `game`.
 
@@ -170,6 +177,7 @@ def build_response_graph(game: Game, tie_tolerance: float = 0.0) -> ResponseGrap
     The default tolerance 0 means exact equality, which is the right notion
     for integer-valued utilities.
     """
+    _check_tie_tolerance(tie_tolerance)
     regular = []
     ties = []
     for player in range(game.num_players):
@@ -194,6 +202,7 @@ def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> Redu
     node per line: each line is sorted by the moving player's utility, chained
     in increasing order, and each group of tied profiles gets one back edge
     from its last to its first member to close the tie cycle."""
+    _check_tie_tolerance(tie_tolerance)
     adj = [[] for _ in range(game.num_profiles)]
     for player in range(game.num_players):
         util = game.utilities[player]

@@ -112,6 +112,28 @@ def test_limit_weights_must_sum_to_one(tmp_path, capsys, fig3_game):
     assert err.startswith("INPUT_ERROR:")
 
 
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_pure_weights_must_be_finite(tmp_path, capsys, fig3_game, command):
+    gpath = write_game(tmp_path, fig3_game)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps([float("nan"), 1.0] + [0.0] * 7))
+    code, out, err = run_cli(capsys, command, gpath, f"pure:{wpath}", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INPUT_ERROR:")
+
+
+@pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
+@pytest.mark.parametrize("command", ["sinks", "hit"])
+def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_game,
+                                                      command, tolerance):
+    gpath = write_game(tmp_path, fig3_game)
+    code, out, err = run_cli(capsys, command, gpath, f"--tie-tolerance={tolerance}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INPUT_ERROR: tie tolerance")
+
+
 def test_limit_unknown_prior(tmp_path, capsys, fig3_game):
     code, _, err = run_cli(capsys, "limit", write_game(tmp_path, fig3_game), "gaussian")
     assert code == 2

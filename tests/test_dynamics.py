@@ -299,18 +299,6 @@ def test_estimate_deterministic_bit_for_bit(fig2_game):
     assert not np.array_equal(a.sink_probabilities, c.sink_probabilities)
 
 
-def test_estimate_parallel_equals_serial(fig2_game):
-    kwargs = dict(tv_tol=0.02, runs_per_sample=8, max_samples=16, checkpoint_every=4)
-    serial = estimate_limit_distribution(
-        fig2_game, Prior("uniform"), ReplicatorParams(rng_seed=7, max_steps=800), workers=1, **kwargs
-    )
-    threaded = estimate_limit_distribution(
-        fig2_game, Prior("uniform"), ReplicatorParams(rng_seed=7, max_steps=800), workers=4, **kwargs
-    )
-    np.testing.assert_array_equal(serial.sink_probabilities, threaded.sink_probabilities)
-    assert serial.tv_trace == threaded.tv_trace
-
-
 def test_estimate_consistent_with_exact_on_pinned_no_tie_games():
     # Vertex-prior simulation reproduces the exact pure-prior distribution on
     # games whose basins match the chain's hitting pattern; pinned seeds.
@@ -433,5 +421,3 @@ def test_replicator_params_validation():
         ReplicatorParams(delta=-1.0)
     with pytest.raises(ValueError):
         ReplicatorParams(window=0)
-    with pytest.raises(ValueError):
-        ReplicatorParams(br_mode="greedy")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sinklimit.game
 from sinklimit import (
     ContractViolation,
     EpsilonMC,
@@ -8,6 +9,7 @@ from sinklimit import (
     build_response_graph,
     collapse_pseudosink,
     delete_epsilon_edges,
+    epsmc,
     from_cmc,
     limit_hitting_probabilities,
     node_orders,
@@ -258,6 +260,32 @@ def test_collapse_rejects_bad_stationary_vector():
         collapse_pseudosink(chain, [0, 1], np.array([1.0]))
 
 
+def test_batch_collapse_matches_one_at_a_time():
+    # Pseudosink {0} exits into both members of pseudosink {1, 2}, which
+    # exits back into 0: the batch relabels 0's exit row onto node 1.
+    edges = dict(
+        regular=[(1, 2, 1.0), (2, 1, 1.0)],
+        eps=[(0, 1, 1.0), (0, 2, 2.0), (0, 4, 1.0), (1, 0, 1.0), (2, 3, 3.0)],
+        absorbing=[3, 4],
+    )
+    pis = {(0,): np.array([1.0]), (1, 2): np.array([0.5, 0.5])}
+    batch = EpsilonMC.from_edges(5, **edges)
+    pseudos = rsccs(batch).pseudosinks()
+    assert pseudos == [[0], [1, 2]]
+    exits = [epsmc._exit_row(batch, m, pis[tuple(m)]) for m in pseudos]
+    batch._collapse(pseudos, new_rows=exits)
+    serial = EpsilonMC.from_edges(5, **edges)
+    for members in pseudos:
+        collapse_pseudosink(serial, members, pis[tuple(members)])
+    assert batch.live_nodes() == serial.live_nodes() == [0, 1, 3, 4]
+    assert batch.origin.tolist() == serial.origin.tolist() == [0, 1, 1, 3, 4]
+    for v in (0, 1):
+        assert batch.regular_out(v) == pytest.approx(serial.regular_out(v), abs=1e-15)
+        assert batch.eps_out(v) == serial.eps_out(v) == {}
+    assert batch.regular_out(0) == pytest.approx({1: 0.75, 4: 0.25}, abs=1e-15)
+    assert batch.regular_out(1) == pytest.approx({0: 0.25, 3: 0.75}, abs=1e-15)
+
+
 # -- epsilon deletion --------------------------------------------------------------
 
 
@@ -308,6 +336,19 @@ def test_fig3_exact_hitting_matrix(fig3_game):
     assert hit.rounds == 1
     assert hit.order_trace == [1, 0]
     assert hit.pseudosink_counts == [1]
+
+
+def test_driver_builds_response_graph_once(fig3_game, monkeypatch):
+    calls = []
+    build = sinklimit.game.build_response_graph
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sinklimit.game, "build_response_graph", counting_build)
+    limit_hitting_probabilities(fig3_game)
+    assert len(calls) == 1
 
 
 def test_fig3_keeps_final_solve_diagnostics(fig3_game):

@@ -128,6 +128,14 @@ def test_tie_tolerance_reclassifies_near_ties():
     assert graph.tie_edges == ((0, 1, 0),)
 
 
+@pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
+def test_tie_tolerance_must_be_finite_and_nonnegative(tolerance):
+    game = random_game(0, 2, (3, 3), mode="integer")
+    for build in (build_response_graph, build_reduced_response_graph):
+        with pytest.raises(GameFormatError, match="tie tolerance"):
+            build(game, tolerance)
+
+
 # -- reduced graph -----------------------------------------------------------
 
 

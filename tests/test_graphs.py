@@ -1,5 +1,4 @@
 from sinklimit.scc import sink_components, strongly_connected_components
-from sinklimit.unionfind import UnionFind
 
 
 def test_tarjan_partitions_known_graph():
@@ -20,20 +19,3 @@ def test_sink_components_ordering_and_members():
     sinks = sink_components(range(6), lambda v: adj[v])
     assert sinks == [[2, 3], [4]]
 
-
-def test_union_find_controlled_roots():
-    uf = UnionFind(6)
-    uf.union_into(0, 3)
-    uf.union_into(0, 5)
-    assert uf.find(3) == uf.find(5) == uf.find(0) == 0
-    uf.union_into(2, 0)
-    assert {uf.find(i) for i in (0, 2, 3, 5)} == {2}
-    assert uf.find(1) == 1
-
-
-def test_union_find_copy_is_independent():
-    uf = UnionFind(4)
-    dup = uf.copy()
-    uf.union_into(0, 1)
-    assert uf.find(1) == 0
-    assert dup.find(1) == 1
