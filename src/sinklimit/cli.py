@@ -151,6 +151,7 @@ def _run_limit(args, force_simulation: bool) -> int:
         tv_tol=args.tv_tol,
         runs_per_sample=args.runs_per_sample,
         max_samples=args.max_samples,
+        tie_tolerance=args.tie_tolerance,
     )
     return _emit_limit(args, game, dist, seed=seed)
 

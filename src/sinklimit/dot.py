@@ -3,11 +3,12 @@
 Sink members are filled with one fixed color per sink; every other node is
 drawn as a pie (graphviz `wedged` style) split by its limit hitting
 probabilities.  Regular edges carry their chain weight to two decimals and
-tie edges appear as a bidirectional pair labeled "0.00".
+tie edges, the epsilon edges of the profile chain, appear as a bidirectional
+pair labeled "0.00".
 """
 
 from .epsmc import HittingMatrix, limit_hitting_probabilities
-from .game import Game, build_cmc, build_response_graph, profile_label
+from .game import Game, build_cmc, profile_label
 
 # Fixed 12-color palette, cycled by sink index so re-runs color identically.
 PALETTE = (
@@ -36,12 +37,11 @@ def export_dot(game: Game, hitting: HittingMatrix | None = None,
         for pid in sink:
             sink_of[pid] = j
 
-    graph = build_response_graph(game, tie_tolerance)
     chain = build_cmc(game, tie_tolerance)
+    names = [profile_label(pid, game) for pid in range(n)]
 
     lines = ["digraph game {", "  node [shape=ellipse];"]
-    for pid in range(n):
-        name = profile_label(pid, game)
+    for pid, name in enumerate(names):
         if pid in sink_of:
             lines.append(
                 f'  "{name}" [style=filled, fillcolor="{sink_color(sink_of[pid])}"];'
@@ -56,16 +56,13 @@ def export_dot(game: Game, hitting: HittingMatrix | None = None,
         else:
             spec = ":".join(f"{sink_color(j)};{frac:.6f}" for j, frac in wedges)
             lines.append(f'  "{name}" [style=wedged, fillcolor="{spec}"];')
-    for pid in range(n):
-        name = profile_label(pid, game)
-        for tgt in sorted(chain.regular_out(pid)):
-            w = chain.regular_out(pid)[tgt]
-            lines.append(
-                f'  "{name}" -> "{profile_label(tgt, game)}" [label="{w:.2f}"];'
-            )
-    for u, v, _ in graph.tie_edges:
-        a, b = profile_label(u, game), profile_label(v, game)
-        lines.append(f'  "{a}" -> "{b}" [label="0.00"];')
-        lines.append(f'  "{b}" -> "{a}" [label="0.00"];')
+    reg = chain.reg.tocoo()
+    for u, v, w in zip(reg.row.tolist(), reg.col.tolist(), reg.data.tolist()):
+        lines.append(f'  "{names[u]}" -> "{names[v]}" [label="{w:.2f}"];')
+    tie = chain.eps.tocoo()
+    for u, v in zip(tie.row.tolist(), tie.col.tolist()):
+        if u < v:
+            lines.append(f'  "{names[u]}" -> "{names[v]}" [label="0.00"];')
+            lines.append(f'  "{names[v]}" -> "{names[u]}" [label="0.00"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -36,10 +36,10 @@ class ReplicatorParams:
     vertex_tolerance: float = 0.05
 
     def __post_init__(self):
-        if self.eta <= 0 or self.delta <= 0:
-            raise ValueError("eta and delta must be positive")
-        if self.extinction_floor < 0:
-            raise ValueError("extinction_floor must be nonnegative")
+        if not (0 < self.eta < math.inf and 0 < self.delta < math.inf):
+            raise ValueError("eta and delta must be finite and positive")
+        if not 0 <= self.extinction_floor < math.inf:
+            raise ValueError("extinction_floor must be finite and nonnegative")
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.max_steps < 0:
@@ -144,14 +144,16 @@ class Prior:
             return cls("uniform")
         if text.startswith("dirichlet:"):
             alpha = float(text.split(":", 1)[1])
-            if alpha <= 0:
-                raise ValueError(f"dirichlet alpha must be positive, got {alpha}")
+            if not 0 < alpha < math.inf:
+                raise ValueError(f"dirichlet alpha must be finite and positive, got {alpha}")
             return cls("dirichlet", alpha=alpha)
         raise ValueError(f"unknown prior spec {text!r}")
 
     @classmethod
     def pure(cls, weights, vertex_smoothing: float = 0.1) -> "Prior":
         w = _check_pure_weights(weights)
+        if not 0 <= vertex_smoothing <= 1:
+            raise ValueError(f"vertex smoothing must be in [0, 1], got {vertex_smoothing}")
         return cls("pure", weights=tuple(float(v) for v in w),
                    vertex_smoothing=vertex_smoothing)
 
@@ -382,20 +384,23 @@ def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
 
 def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorParams,
                                 tv_tol: float = 0.01, *, runs_per_sample: int = 40,
-                                max_samples: int = 512,
-                                checkpoint_every: int = 8) -> LimitDistribution:
+                                max_samples: int = 512, checkpoint_every: int = 8,
+                                tie_tolerance: float = 0.0) -> LimitDistribution:
     """Empirical limit distribution over the sinks of `game`.
 
     Draws start profiles from `prior`, runs `runs_per_sample` independent
     noisy-replicator instances per draw, and accumulates the running average
     of the per-run outcomes.  Stops when the total-variation distance between
     the running averages at successive checkpoints (every `checkpoint_every`
-    samples) drops below `tv_tol`, or at the `max_samples` budget.
-    Deterministic given `params.rng_seed`.
+    samples) drops below `tv_tol`, or at the `max_samples` budget.  The sinks
+    are those of the response graph at `tie_tolerance`.  Deterministic given
+    `params.rng_seed`.
     """
-    if tv_tol <= 0:
-        raise ValueError("tv_tol must be positive")
-    sinks = sink_equilibria(build_response_graph(game))
+    if not 0 < tv_tol < math.inf:
+        raise ValueError("tv_tol must be finite and positive")
+    if min(runs_per_sample, max_samples, checkpoint_every) < 1:
+        raise ValueError("runs_per_sample, max_samples and checkpoint_every must be at least 1")
+    sinks = sink_equilibria(build_response_graph(game, tie_tolerance))
     lookup = _sink_lookup(game, sinks)
     k = len(sinks)
     root = int(params.rng_seed)

@@ -23,140 +23,145 @@ from .scc import sink_components, strongly_connected_components
 _ROW_SUM_TOL = 1e-12
 
 
-class EpsilonMC:
-    """Mutable two-class Markov chain over integer node ids.
+def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+    """n x n CSR matrix of triplets; parallel entries are summed in input order."""
+    order = np.lexsort((cols, rows))
+    return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
 
-    Parallel edges of the same class are merged on insertion, self-loops are
-    never stored, and for every non-absorbing node with at least one regular
-    out-edge the regular out-weights sum to one.  Only out-rows are stored.
-    `origin[i]` is the live node that currently represents original node `i`.
+
+def _adjacency(matrix: sp.csr_matrix):
+    """Column lists of a CSR matrix's rows, as a callback over Python ints."""
+    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
+    return lambda v: indices[indptr[v] : indptr[v + 1]]
+
+
+def _row(matrix: sp.csr_matrix, v: int) -> dict[int, float]:
+    lo, hi = matrix.indptr[v], matrix.indptr[v + 1]
+    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
+
+
+def _group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
+    """Index of each node's group, -1 for nodes in none."""
+    ids = np.full(num_nodes, -1)
+    ids[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return ids
+
+
+class EpsilonMC:
+    """Mutable two-class Markov chain over the original node ids.
+
+    `reg` and `eps` are square CSR matrices of regular weights and epsilon
+    coefficients.  Self-loops are never stored, and for every non-absorbing
+    node with at least one regular out-edge the regular out-weights sum to
+    one.  `origin[i]` is the live node that currently represents original
+    node `i`; the live nodes are the fixed points of `origin`, and every
+    other node has an empty row and column.
     """
 
-    def __init__(self, num_nodes: int):
-        self.num_original = num_nodes
-        self._reg: dict[int, dict[int, float]] = {v: {} for v in range(num_nodes)}
-        self._eps: dict[int, dict[int, float]] = {v: {} for v in range(num_nodes)}
-        self.absorbing: set[int] = set()
-        self.origin = np.arange(num_nodes)
+    def __init__(self, reg: sp.csr_matrix, eps: sp.csr_matrix, absorbing=(), origin=None):
+        self.reg = reg
+        self.eps = eps
+        self.absorbing: set[int] = set(absorbing)
+        self.origin = np.arange(reg.shape[0]) if origin is None else origin
 
     @classmethod
     def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=(), validate=True):
-        """Build a chain from edge lists ``(u, v, weight)`` / ``(u, v, coeff)``."""
-        chain = cls(num_nodes)
-        for u, v, w in regular:
-            chain.add_regular(u, v, w)
-        for u, v, c in eps:
-            chain.add_eps(u, v, c)
-        chain.absorbing = set(absorbing)
+        """Build a chain from ``(u, v, weight)`` / ``(u, v, coeff)`` triples
+        or ``(m, 3)`` arrays; parallel edges of one class are summed."""
+        mats = []
+        for kind, edges in (("regular", regular), ("eps", eps)):
+            arr = np.asarray(edges, dtype=float).reshape(-1, 3)
+            u, v, w = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+            bad = np.flatnonzero((u == v) | ~(np.isfinite(w) & (w > 0)))
+            if bad.size:
+                i = bad[0]
+                raise ContractViolation(
+                    f"{kind} edge {u[i]}->{v[i]} of value {float(w[i])}: self-loops and "
+                    "values that are not finite and positive cannot be stored"
+                )
+            mats.append(_csr(num_nodes, u, v, w))
+        chain = cls(*mats, absorbing)
         if validate:
             chain.validate()
         return chain
 
-    # -- construction ------------------------------------------------------
-
-    def add_regular(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            raise ContractViolation(f"self-loop {u}->{v} cannot be stored")
-        if weight <= 0.0:
-            raise ContractViolation(f"regular edge {u}->{v} has weight {weight} <= 0")
-        self._reg[u][v] = self._reg[u].get(v, 0.0) + weight
-
-    def add_eps(self, u: int, v: int, coeff: float) -> None:
-        if u == v:
-            raise ContractViolation(f"self-loop {u}->{v} cannot be stored")
-        if coeff <= 0.0:
-            raise ContractViolation(f"eps edge {u}->{v} has coefficient {coeff} <= 0")
-        self._eps[u][v] = self._eps[u].get(v, 0.0) + coeff
-
     # -- queries -----------------------------------------------------------
 
+    @property
+    def num_original(self) -> int:
+        return self.reg.shape[0]
+
     def live_nodes(self) -> list[int]:
-        return sorted(self._reg)
+        return np.flatnonzero(self.origin == np.arange(self.num_original)).tolist()
 
     @property
     def num_live(self) -> int:
-        return len(self._reg)
+        return len(self.live_nodes())
 
     def regular_out(self, v: int) -> dict[int, float]:
-        return self._reg[v]
+        return _row(self.reg, v)
 
     def eps_out(self, v: int) -> dict[int, float]:
-        return self._eps[v]
-
-    def num_regular_edges(self) -> int:
-        return sum(len(d) for d in self._reg.values())
+        return _row(self.eps, v)
 
     def num_eps_edges(self) -> int:
-        return sum(len(d) for d in self._eps.values())
+        return self.eps.nnz
 
     def current(self, original_id: int) -> int:
         """Live node currently representing an original node id."""
         return int(self.origin[original_id])
 
     def copy(self) -> "EpsilonMC":
-        dup = EpsilonMC(0)
-        dup.num_original = self.num_original
-        dup._reg = {v: dict(d) for v, d in self._reg.items()}
-        dup._eps = {v: dict(d) for v, d in self._eps.items()}
-        dup.absorbing = set(self.absorbing)
-        dup.origin = self.origin.copy()
-        return dup
+        return EpsilonMC(self.reg.copy(), self.eps.copy(), self.absorbing, self.origin.copy())
 
     def validate(self) -> None:
-        for v in self._reg:
-            if v in self.absorbing:
-                if self._reg[v] or self._eps[v]:
-                    raise ContractViolation(f"absorbing node {v} has out-edges")
-                continue
-            if self._reg[v]:
-                total = sum(self._reg[v].values())
-                if abs(total - 1.0) > _ROW_SUM_TOL:
-                    raise ContractViolation(
-                        f"regular out-weights of node {v} sum to {total!r}, not 1"
-                    )
+        reg_degree = np.diff(self.reg.indptr)
+        out_degree = reg_degree + np.diff(self.eps.indptr)
+        for v in sorted(self.absorbing):
+            if out_degree[v]:
+                raise ContractViolation(f"absorbing node {v} has out-edges")
+        sums = np.asarray(self.reg.sum(axis=1)).ravel()
+        bad = np.flatnonzero((reg_degree > 0) & (np.abs(sums - 1.0) > _ROW_SUM_TOL))
+        if bad.size:
+            raise ContractViolation(
+                f"regular out-weights of node {bad[0]} sum to {float(sums[bad[0]])!r}, not 1"
+            )
 
     # -- mutation ----------------------------------------------------------
 
     def _collapse(self, groups, *, make_absorbing=False, new_rows=None) -> None:
         """Replace each group of members with a single node (its smallest id).
 
-        The members' out-rows are dropped and every live row is relabelled
-        in one pass, merging parallel edges per class; edges among the
-        members of a group vanish.  Unless the nodes become absorbing, the
-        caller supplies each collapsed node's regular out-row in `new_rows`,
-        over targets as they were before the collapse.
+        One relabelling of both edge classes: the members' rows are dropped,
+        every column is mapped through the new labels and parallel edges are
+        summed, so edges among the members of a group vanish.  Unless the
+        nodes become absorbing, the caller supplies each collapsed node's
+        regular out-row in `new_rows` as a ``(targets, weights)`` pair, over
+        targets as they were before the collapse.
         """
-        rep_of: dict[int, int] = {}
-        reps = []
-        for members in groups:
-            rep = min(members)
-            reps.append(rep)
-            for m in members:
-                rep_of[m] = rep
-        for m in rep_of:
-            del self._reg[m]
-            del self._eps[m]
-            self.absorbing.discard(m)
-        for i, rep in enumerate(reps):
-            self._reg[rep] = {}
-            self._eps[rep] = {}
-            if make_absorbing:
-                self.absorbing.add(rep)
-            if new_rows:
-                for y in sorted(new_rows[i]):
-                    if rep_of.get(y) == rep:
-                        raise ContractViolation("collapsed node cannot point into itself")
-                    self.add_regular(rep, y, new_rows[i][y])
-        for rows in (self._reg, self._eps):
-            for v, row in rows.items():
-                if not rep_of.keys().isdisjoint(row):
-                    merged: dict[int, float] = {}
-                    for t, w in row.items():
-                        t = rep_of.get(t, t)
-                        merged[t] = merged.get(t, 0.0) + w
-                    rows[v] = merged
-        label = np.arange(self.num_original)
-        label[list(rep_of)] = list(rep_of.values())
+        n = self.num_original
+        group_of = _group_ids(n, groups)
+        is_member = group_of >= 0
+        reps = np.array([min(g) for g in groups])
+        label = np.where(is_member, reps[group_of], np.arange(n))
+        exits = []
+        for rep, (targets, weights) in zip(reps, new_rows or ()):
+            if np.any(label[targets] == rep):
+                raise ContractViolation("collapsed node cannot point into itself")
+            exits.append((np.full(len(targets), rep), np.asarray(targets), weights))
+
+        def relabel(matrix, extra=()):
+            coo = matrix.tocoo()
+            keep = ~is_member[coo.row]
+            parts = [(coo.row[keep], coo.col[keep], coo.data[keep]), *extra]
+            rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+            return _csr(n, rows, label[cols], vals)
+
+        self.reg = relabel(self.reg, exits)
+        self.eps = relabel(self.eps)
+        self.absorbing.difference_update(np.flatnonzero(is_member).tolist())
+        if make_absorbing:
+            self.absorbing.update(reps.tolist())
         self.origin = label[self.origin]
 
 
@@ -166,7 +171,6 @@ class SccPartition:
 
     components: list[list[int]]
     labels: list[str]  # "sink" | "pseudosink" | "ordinary" per component
-    comp_of: dict[int, int]
 
     def pseudosinks(self) -> list[list[int]]:
         return [c for c, lab in zip(self.components, self.labels) if lab == "pseudosink"]
@@ -199,13 +203,6 @@ class HittingMatrix:
     residual: float = 0.0
     bound_excess: float = 0.0
 
-    @property
-    def num_sinks(self) -> int:
-        return len(self.sinks)
-
-    def row(self, original_id: int) -> np.ndarray:
-        return self.probabilities[original_id]
-
 
 def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
     """Collapse each sink component of `cmc` into a single absorbing node.
@@ -214,20 +211,17 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
     class may leave a sink); violating that indicates a caller bug and
     raises.  The input chain is not modified.
     """
+    sink_of = _group_ids(cmc.num_original, sinks)
+    for kind, matrix in (("regular", cmc.reg), ("eps", cmc.eps)):
+        coo = matrix.tocoo()
+        src = sink_of[coo.row]
+        leaving = np.flatnonzero((src >= 0) & (sink_of[coo.col] != src))
+        if leaving.size:
+            i = leaving[0]
+            raise ContractViolation(
+                f"{kind} edge {coo.row[i]}->{coo.col[i]} leaves supposed sink {sinks[src[i]]}"
+            )
     chain = cmc.copy()
-    for sink in sinks:
-        sink_set = set(sink)
-        for m in sink:
-            for tgt in chain.regular_out(m):
-                if tgt not in sink_set:
-                    raise ContractViolation(
-                        f"regular edge {m}->{tgt} leaves supposed sink {sink}"
-                    )
-            for tgt in chain.eps_out(m):
-                if tgt not in sink_set:
-                    raise ContractViolation(
-                        f"eps edge {m}->{tgt} leaves supposed sink {sink}"
-                    )
     chain._collapse(sinks, make_absorbing=True)
     return chain
 
@@ -238,22 +232,19 @@ def rsccs(chain: EpsilonMC) -> SccPartition:
     A component is a pseudosink when it has at least one outgoing epsilon
     edge and no outgoing regular edge; with neither it is a sink.
     """
-    nodes = chain.live_nodes()
-    comps = strongly_connected_components(nodes, lambda v: chain._reg[v].keys())
+    comps = strongly_connected_components(chain.live_nodes(), _adjacency(chain.reg))
     comps.sort(key=lambda c: c[0])
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    labels = []
-    for comp in comps:
-        comp_set = set(comp)
-        reg_out = any(t not in comp_set for v in comp for t in chain._reg[v])
-        eps_out = any(t not in comp_set for v in comp for t in chain._eps[v])
-        if reg_out:
-            labels.append("ordinary")
-        elif eps_out:
-            labels.append("pseudosink")
-        else:
-            labels.append("sink")
-    return SccPartition(comps, labels, comp_of)
+    comp_of = _group_ids(chain.num_original, comps)
+    leaves = []
+    for matrix in (chain.reg, chain.eps):
+        coo = matrix.tocoo()
+        src = comp_of[coo.row]
+        leaves.append(np.bincount(src[src != comp_of[coo.col]], minlength=len(comps)) > 0)
+    labels = [
+        "ordinary" if reg_out else "pseudosink" if eps_out else "sink"
+        for reg_out, eps_out in zip(*leaves)
+    ]
+    return SccPartition(comps, labels)
 
 
 def node_orders(chain: EpsilonMC) -> OrderLabels:
@@ -265,12 +256,8 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
     """
     if not chain.absorbing:
         raise ContractViolation("chain has no absorbing nodes")
-    reg_in: dict[int, list[int]] = {v: [] for v in chain._reg}
-    eps_in: dict[int, list[int]] = {v: [] for v in chain._reg}
-    for into, rows in ((reg_in, chain._reg), (eps_in, chain._eps)):
-        for u, row in rows.items():
-            for t in row:
-                into[t].append(u)
+    reg_in = _adjacency(chain.reg.T.tocsr())
+    eps_in = _adjacency(chain.eps.T.tocsr())
     dist: dict[int, int] = {}
     dq: deque[tuple[int, int]] = deque()
     for a in sorted(chain.absorbing):
@@ -280,15 +267,15 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
         v, d = dq.popleft()
         if d > dist[v]:
             continue
-        for src in reg_in[v]:
+        for src in reg_in(v):
             if src not in dist or d < dist[src]:
                 dist[src] = d
                 dq.appendleft((src, d))
-        for src in eps_in[v]:
+        for src in eps_in(v):
             if src not in dist or d + 1 < dist[src]:
                 dist[src] = d + 1
                 dq.append((src, d + 1))
-    missing = [v for v in chain._reg if v not in dist]
+    missing = [v for v in chain.live_nodes() if v not in dist]
     if missing:
         raise ContractViolation(
             f"nodes {missing[:5]} cannot reach any absorbing node"
@@ -307,8 +294,9 @@ def collapse_pseudosink(chain: EpsilonMC, members: list[int], pi: np.ndarray) ->
     return chain
 
 
-def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray) -> dict[int, float]:
-    """Regular out-row of pseudosink `members` once collapsed.
+def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray):
+    """Regular out-row of pseudosink `members` once collapsed, as sorted
+    targets and their weights.
 
     Each external target y gets weight
 
@@ -317,26 +305,29 @@ def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray) -> dict[int,
     which sums to one over the targets.
     """
     members = sorted(members)
-    members_set = set(members)
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (len(members),):
         raise ContractViolation("stationary vector does not match the component")
-    if abs(float(pi.sum()) - 1.0) > 1e-9 or np.any(pi < 0):
+    if not abs(float(pi.sum()) - 1.0) <= 1e-9 or np.any(pi < 0):
         raise ContractViolation("stationary vector is not a normalized distribution")
-    exit_mass: dict[int, float] = {}
-    for idx, x in enumerate(members):
-        for tgt in chain._reg[x]:
-            if tgt not in members_set:
-                raise ContractViolation(
-                    f"component has regular out-edge {x}->{tgt}; not a pseudosink"
-                )
-        for y in sorted(chain._eps[x]):
-            if y not in members_set:
-                exit_mass[y] = exit_mass.get(y, 0.0) + chain._eps[x][y] * pi[idx]
-    if not exit_mass:
+    inside = np.zeros(chain.num_original, dtype=bool)
+    inside[members] = True
+    reg = chain.reg[members].tocoo()
+    escapes = np.flatnonzero(~inside[reg.col])
+    if escapes.size:
+        i = escapes[0]
+        raise ContractViolation(
+            f"component has regular out-edge {members[reg.row[i]]}->{reg.col[i]}; "
+            "not a pseudosink"
+        )
+    eps = chain.eps[members].tocoo()
+    out = ~inside[eps.col]
+    if not out.any():
         raise ContractViolation("component has no outgoing eps edge; not a pseudosink")
-    denom = sum(exit_mass[y] for y in sorted(exit_mass))
-    return {y: exit_mass[y] / denom for y in sorted(exit_mass)}
+    # Row-major order: the masses add up member by member, as in the formula.
+    targets, slot = np.unique(eps.col[out], return_inverse=True)
+    mass = np.bincount(slot, weights=eps.data[out] * pi[eps.row[out]])
+    return targets, mass / sum(mass.tolist())
 
 
 def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
@@ -351,8 +342,7 @@ def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
         raise ContractViolation(
             f"cannot delete eps edges at max order {orders.max_order} > 0"
         )
-    for row in chain._eps.values():
-        row.clear()
+    chain.eps = sp.csr_matrix(chain.eps.shape)
     return chain
 
 
@@ -360,36 +350,18 @@ def _stationary_within(chain: EpsilonMC, members: list[int]) -> np.ndarray:
     """Stationary distribution of a component's internal regular chain."""
     if len(members) == 1:
         return np.array([1.0])
-    index = {v: i for i, v in enumerate(members)}
-    rows, cols, vals = [], [], []
-    for v in members:
-        for tgt, w in chain._reg[v].items():
-            rows.append(index[v])
-            cols.append(index[tgt])
-            vals.append(w)
-    n = len(members)
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return solver.stationary_distribution(T)
+    return solver.stationary_distribution(chain.reg[members][:, members])
 
 
-def _rows_from_result(chain, nodes, result) -> tuple[dict[int, np.ndarray], list[int]]:
-    absorbing_ids = [nodes[i] for i in result.absorbing]
-    k = len(absorbing_ids)
-    rows: dict[int, np.ndarray] = {}
-    for j, a in enumerate(absorbing_ids):
-        ind = np.zeros(k)
-        ind[j] = 1.0
-        rows[a] = ind
-    for pos, i in enumerate(result.transient):
-        rows[nodes[i]] = result.hitting[pos]
-    return rows, absorbing_ids
-
-
-def _expand_rows(chain: EpsilonMC, rows: dict[int, np.ndarray], k: int) -> np.ndarray:
-    out = np.zeros((chain.num_original, k))
-    for pid, v in enumerate(chain.origin.tolist()):
-        out[pid] = rows[v]
-    return out
+def _hitting_rows(chain: EpsilonMC, nodes: list[int], result) -> np.ndarray:
+    """Hitting rows of every original node from a solve over live `nodes`."""
+    k = result.absorbing.size
+    rows = np.zeros((len(nodes), k))
+    rows[result.absorbing, np.arange(k)] = 1.0
+    rows[result.transient] = result.hitting
+    pos = np.zeros(chain.num_original, dtype=np.intp)
+    pos[nodes] = np.arange(len(nodes))
+    return rows[pos[chain.origin]]
 
 
 def _collapsed_profile_chain(game, tie_tolerance: float):
@@ -397,9 +369,7 @@ def _collapsed_profile_chain(game, tie_tolerance: float):
     from .game import build_cmc
 
     cmc = build_cmc(game, tie_tolerance)
-    sinks = sink_components(
-        range(cmc.num_original), lambda v: [*cmc.regular_out(v), *cmc.eps_out(v)]
-    )
+    sinks = sink_components(range(cmc.num_original), _adjacency(cmc.reg + cmc.eps))
     return from_cmc(cmc, sinks), sinks
 
 
@@ -441,10 +411,9 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
     delete_epsilon_edges(chain)
     nodes = chain.live_nodes()
     result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))
-    rows, absorbing_ids = _rows_from_result(chain, nodes, result)
-    probs = _expand_rows(chain, rows, len(absorbing_ids))
     return HittingMatrix(
-        probs, sinks, rounds, trace, pseudo_counts, result.residual, result.bound_excess
+        _hitting_rows(chain, nodes, result), sinks, rounds, trace, pseudo_counts,
+        result.residual, result.bound_excess,
     )
 
 
@@ -456,10 +425,8 @@ def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> Hitti
     machinery involved.
     """
     chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
-    nodes = chain.live_nodes()
     result = solver.oracle_hitting_at_epsilon(chain, eps)
-    rows, absorbing_ids = _rows_from_result(chain, nodes, result)
-    probs = _expand_rows(chain, rows, len(absorbing_ids))
     return HittingMatrix(
-        probs, sinks, residual=result.residual, bound_excess=result.bound_excess
+        _hitting_rows(chain, chain.live_nodes(), result), sinks,
+        residual=result.residual, bound_excess=result.bound_excess,
     )

@@ -243,17 +243,15 @@ def build_cmc(game: Game, tie_tolerance: float = 0.0) -> EpsilonMC:
     direction.  Nodes whose deviations are all ties keep only epsilon edges;
     the residual probability is an implicit self-loop that is never stored."""
     graph = build_response_graph(game, tie_tolerance)
-    total_gain = np.zeros(game.num_profiles)
-    for u, _, _, gain in graph.regular_edges:
-        total_gain[u] += gain
-    chain = EpsilonMC(game.num_profiles)
-    for u, v, _, gain in graph.regular_edges:
-        chain.add_regular(u, v, gain / total_gain[u])
-    for u, v, _ in graph.tie_edges:
-        chain.add_eps(u, v, 1.0)
-        chain.add_eps(v, u, 1.0)
-    chain.validate()
-    return chain
+    n = game.num_profiles
+    reg = np.array(graph.regular_edges, dtype=float).reshape(-1, 4)  # u, v, player, gain
+    src = reg[:, 0].astype(np.intp)
+    weights = reg[:, 3] / np.bincount(src, weights=reg[:, 3], minlength=n)[src]
+    ties = np.array(graph.tie_edges, dtype=float).reshape(-1, 3)  # u, v, player
+    ties[:, 2] = 1.0
+    return EpsilonMC.from_edges(
+        n, np.column_stack([reg[:, :2], weights]), np.concatenate([ties, ties[:, [1, 0, 2]]])
+    )
 
 
 def random_game(seed, num_players: int, strategy_counts, mode: str = "continuous",

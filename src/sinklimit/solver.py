@@ -282,19 +282,11 @@ def chain_matrix(chain: "EpsilonMC", nodes: list[int] | None = None) -> Stochast
     """
     if nodes is None:
         nodes = chain.live_nodes()
-    index = {v: i for i, v in enumerate(nodes)}
-    rows, cols, vals = [], [], []
-    for v in nodes:
-        if chain.eps_out(v):
-            raise ValueError(f"node {v} still has epsilon edges")
-        for tgt, w in sorted(chain.regular_out(v).items()):
-            rows.append(index[v])
-            cols.append(index[tgt])
-            vals.append(w)
-    n = len(nodes)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mask = np.array([v in chain.absorbing for v in nodes])
-    return StochasticMatrix(matrix, mask)
+    busy = np.flatnonzero(np.diff(chain.eps.indptr)[nodes])
+    if busy.size:
+        raise ValueError(f"node {nodes[busy[0]]} still has epsilon edges")
+    mask = np.isin(nodes, list(chain.absorbing))
+    return StochasticMatrix(chain.reg[nodes][:, nodes], mask)
 
 
 def oracle_hitting_at_epsilon(chain: "EpsilonMC", eps: float) -> AbsorptionResult:
@@ -308,38 +300,30 @@ def oracle_hitting_at_epsilon(chain: "EpsilonMC", eps: float) -> AbsorptionResul
     coefficient ratios instead, which keeps the system well-conditioned for
     very small `eps`.
 
-    Matrix index `i` corresponds to ``sorted(chain.live_nodes())[i]``.
+    Matrix index `i` corresponds to ``chain.live_nodes()[i]``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     nodes = chain.live_nodes()
-    index = {v: i for i, v in enumerate(nodes)}
-    rows, cols, vals = [], [], []
-    for v in nodes:
-        reg = chain.regular_out(v)
-        epsd = chain.eps_out(v)
-        eps_mass = sum(c * eps for _, c in sorted(epsd.items()))
-        if eps_mass >= 1.0:
-            raise ValueError(
-                f"eps={eps} too large: node {v} gets epsilon mass {eps_mass} >= 1"
-            )
-        if reg:
-            scale = 1.0 - eps_mass
-            for tgt, w in sorted(reg.items()):
-                rows.append(index[v])
-                cols.append(index[tgt])
-                vals.append(w * scale)
-            for tgt, c in sorted(epsd.items()):
-                rows.append(index[v])
-                cols.append(index[tgt])
-                vals.append(c * eps)
-        elif epsd:
-            total = sum(c for _, c in sorted(epsd.items()))
-            for tgt, c in sorted(epsd.items()):
-                rows.append(index[v])
-                cols.append(index[tgt])
-                vals.append(c / total)
     n = len(nodes)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mask = np.array([v in chain.absorbing for v in nodes])
+    reg = chain.reg[nodes][:, nodes].tocoo()
+    tie = chain.eps[nodes][:, nodes].tocoo()
+    eps_mass = np.bincount(tie.row, weights=tie.data * eps, minlength=n)
+    too_big = np.flatnonzero(eps_mass >= 1.0)
+    if too_big.size:
+        i = too_big[0]
+        raise ValueError(
+            f"eps={eps} too large: node {nodes[i]} gets epsilon mass {eps_mass[i]} >= 1"
+        )
+    has_reg = np.bincount(reg.row, minlength=n) > 0
+    tie_total = np.bincount(tie.row, weights=tie.data, minlength=n)
+    vals = np.concatenate([
+        reg.data * (1.0 - eps_mass[reg.row]),
+        np.where(has_reg[tie.row], tie.data * eps, tie.data / tie_total[tie.row]),
+    ])
+    matrix = sp.csr_matrix(
+        (vals, (np.concatenate([reg.row, tie.row]), np.concatenate([reg.col, tie.col]))),
+        shape=(n, n),
+    )
+    mask = np.isin(nodes, list(chain.absorbing))
     return absorption_probabilities(StochasticMatrix(matrix, mask), stable=True)

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from sinklimit import SolverConvergenceError, game_to_json, random_game, save_game
+import sinklimit.game
+from sinklimit import (
+    SolverConvergenceError,
+    build_response_graph,
+    game_to_json,
+    profile_label,
+    random_game,
+    save_game,
+)
 from sinklimit.cli import main
 
 from conftest import bimatrix
@@ -134,6 +142,49 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_gam
     assert err.startswith("INPUT_ERROR: tie tolerance")
 
 
+@pytest.mark.parametrize("bad", [
+    ["uniform", "--max-samples", "0"],
+    ["uniform", "--runs-per-sample", "0"],
+    ["uniform", "--eta", "nan"],
+    ["uniform", "--delta", "inf"],
+    ["uniform", "--extinction-floor", "nan"],
+    ["uniform", "--tv-tol", "nan"],
+    ["dirichlet:nan"],
+    ["dirichlet:inf"],
+    ["pure", "--vertex-smoothing", "nan"],
+    ["pure", "--vertex-smoothing", "2"],
+    ["pure", "--vertex-smoothing=-0.5"],
+])
+def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
+    gpath = write_game(tmp_path, fig2_game)
+    prior, *flags = bad
+    if prior == "pure":
+        wpath = tmp_path / "weights.json"
+        wpath.write_text(json.dumps([1.0] + [0.0] * 8))
+        prior = f"pure:{wpath}"
+    code, out, err = run_cli(
+        capsys, "simulate", gpath, prior, "--seed", "1", "--max-steps", "200",
+        "--max-samples", "2", "--runs-per-sample", "2", *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INPUT_ERROR:")
+
+
+def test_simulation_sinks_follow_tie_tolerance(tmp_path, capsys, fig2_game):
+    gpath = write_game(tmp_path, fig2_game)
+    code, out, _ = run_cli(capsys, "sinks", gpath, "--tie-tolerance", "10")
+    assert code == 0
+    sinks = json.loads(out)["sinks"]
+    assert sinks == [list(range(9))]
+    code, out, _ = run_cli(
+        capsys, "limit", gpath, "uniform", "--tie-tolerance", "10", "--seed", "1",
+        "--max-steps", "100", "--max-samples", "1", "--runs-per-sample", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["sinks"] == sinks
+
+
 def test_limit_unknown_prior(tmp_path, capsys, fig3_game):
     code, _, err = run_cli(capsys, "limit", write_game(tmp_path, fig3_game), "gaussian")
     assert code == 2
@@ -203,6 +254,54 @@ def test_export_dot_reuses_hit_file(tmp_path, capsys, fig2_game):
     validate_dot(out)
     # pie split 0.75 / 0.25 for the transient profiles
     assert 'style=wedged' in out and ";0.750000" in out
+
+
+def response_graph_edge_lines(game) -> set:
+    """DOT edge lines drawn straight from the response graph: regular edges
+    weighted by their share of the node's total gain, ties both ways."""
+    graph = build_response_graph(game)
+    total = np.zeros(game.num_profiles)
+    for u, _, _, gain in graph.regular_edges:
+        total[u] += gain
+    name = [profile_label(pid, game) for pid in range(game.num_profiles)]
+    lines = {
+        f'"{name[u]}" -> "{name[v]}" [label="{gain / total[u]:.2f}"];'
+        for u, v, _, gain in graph.regular_edges
+    }
+    for u, v, _ in graph.tie_edges:
+        lines |= {f'"{name[u]}" -> "{name[v]}" [label="0.00"];',
+                  f'"{name[v]}" -> "{name[u]}" [label="0.00"];'}
+    return lines
+
+
+@pytest.mark.parametrize("game_name", ["fig3", "random"])
+def test_export_dot_edges_and_response_graph_builds(tmp_path, capsys, monkeypatch,
+                                                     fig3_game, game_name):
+    game = fig3_game if game_name == "fig3" else random_game(1, 2, (3, 3), "integer")
+    expected = response_graph_edge_lines(game)
+    assert any('label="0.00"' in line for line in expected)
+    gpath = write_game(tmp_path, game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    calls = []
+    build = sinklimit.game.build_response_graph
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    # `from .game import build_response_graph` copies the binding: patch every copy.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sinklimit") and getattr(module, "build_response_graph", None) is build:
+            monkeypatch.setattr(module, "build_response_graph", counting_build)
+    for extra, builds in (([], 2), (["--hit", str(hit_path)], 1)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "export-dot", gpath, *extra)
+        assert code == 0
+        assert len(calls) == builds
+        edges = [line.strip() for line in out.splitlines() if "->" in line]
+        assert len(edges) == len(expected)
+        assert set(edges) == expected
 
 
 def test_random_game_roundtrip_and_determinism(tmp_path, capsys):

@@ -70,11 +70,19 @@ def test_parallel_edges_merge():
 
 
 def test_self_loops_rejected():
-    chain = EpsilonMC(2)
-    with pytest.raises(ContractViolation):
-        chain.add_regular(0, 0, 1.0)
-    with pytest.raises(ContractViolation):
-        chain.add_eps(1, 1, 1.0)
+    with pytest.raises(ContractViolation, match="self-loop"):
+        EpsilonMC.from_edges(2, regular=[(0, 0, 1.0)])
+    with pytest.raises(ContractViolation, match="self-loop"):
+        EpsilonMC.from_edges(2, eps=[(1, 1, 1.0)])
+    with pytest.raises(ContractViolation, match="self-loop"):
+        EpsilonMC.from_edges(2, regular=np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["regular", "eps"])
+def test_edge_values_must_be_finite_and_positive(kind, value):
+    with pytest.raises(ContractViolation, match="finite and positive"):
+        EpsilonMC.from_edges(2, **{kind: [(0, 1, value)]})
 
 
 def test_validate_rejects_bad_rows():
@@ -85,10 +93,19 @@ def test_validate_rejects_bad_rows():
 
 
 def test_copy_is_independent():
-    chain = EpsilonMC.from_edges(2, regular=[(0, 1, 1.0)], absorbing=[1])
+    chain = EpsilonMC.from_edges(
+        3, regular=[(0, 1, 1.0)], eps=[(1, 2, 1.0)], absorbing=[2]
+    )
     dup = chain.copy()
-    dup.add_eps(0, 1, 1.0)
-    assert chain.eps_out(0) == {}
+    dup.reg.data[:] = 0.5
+    dup.eps.data[:] = 2.0
+    dup.absorbing.add(0)
+    dup._collapse([[0, 1]], new_rows=[(np.array([2]), np.array([1.0]))])
+    assert chain.regular_out(0) == {1: 1.0}
+    assert chain.eps_out(1) == {2: 1.0}
+    assert chain.absorbing == {2}
+    assert chain.origin.tolist() == [0, 1, 2]
+    assert dup.live_nodes() == [0, 2] and dup.origin.tolist() == [0, 0, 2]
 
 
 # -- sink collapse ---------------------------------------------------------------
