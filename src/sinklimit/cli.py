@@ -10,6 +10,7 @@ NUMERIC_ERROR.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,16 +35,21 @@ def _sink_label(index: int, sink, game) -> str:
     return f"sink_{index} {{{members}}}"
 
 
-def _emit(args, text: str) -> None:
+@contextmanager
+def _output(args):
+    """The `-o` file, opened for writing, or stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    # Streamed: with `indent`, `json.dumps` holds every chunk until it joins them.
+    with _output(args) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _require_seed(args) -> int:
@@ -193,7 +199,8 @@ def cmd_export_dot(args) -> int:
     if args.hit:
         hitting = _load_hitting(args.hit, game)
     text = export_dot(game, hitting, args.tie_tolerance)
-    _emit(args, text)
+    with _output(args) as fh:
+        fh.write(text)
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epsmc import limit_hitting_probabilities
-from .game import Game, build_response_graph, sink_equilibria
+from .game import Game, build_reduced_response_graph, sink_equilibria
 
 _NOISE_BLOCK = 256
 
@@ -400,7 +400,7 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
         raise ValueError("tv_tol must be finite and positive")
     if min(runs_per_sample, max_samples, checkpoint_every) < 1:
         raise ValueError("runs_per_sample, max_samples and checkpoint_every must be at least 1")
-    sinks = sink_equilibria(build_response_graph(game, tie_tolerance))
+    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
     lookup = _sink_lookup(game, sinks)
     k = len(sinks)
     root = int(params.rng_seed)

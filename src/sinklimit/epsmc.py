@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import solver
 from .errors import ContractViolation
-from .scc import sink_components, strongly_connected_components
+from .scc import group_ids, leaving, strongly_connected_components
 
 _ROW_SUM_TOL = 1e-12
 
@@ -29,22 +29,9 @@ def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
     return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
 
 
-def _adjacency(matrix: sp.csr_matrix):
-    """Column lists of a CSR matrix's rows, as a callback over Python ints."""
-    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
-    return lambda v: indices[indptr[v] : indptr[v + 1]]
-
-
 def _row(matrix: sp.csr_matrix, v: int) -> dict[int, float]:
     lo, hi = matrix.indptr[v], matrix.indptr[v + 1]
     return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
-
-
-def _group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
-    """Index of each node's group, -1 for nodes in none."""
-    ids = np.full(num_nodes, -1)
-    ids[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return ids
 
 
 class EpsilonMC:
@@ -140,7 +127,7 @@ class EpsilonMC:
         targets as they were before the collapse.
         """
         n = self.num_original
-        group_of = _group_ids(n, groups)
+        group_of = group_ids(n, groups)
         is_member = group_of >= 0
         reps = np.array([min(g) for g in groups])
         label = np.where(is_member, reps[group_of], np.arange(n))
@@ -211,16 +198,10 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
     class may leave a sink); violating that indicates a caller bug and
     raises.  The input chain is not modified.
     """
-    sink_of = _group_ids(cmc.num_original, sinks)
     for kind, matrix in (("regular", cmc.reg), ("eps", cmc.eps)):
-        coo = matrix.tocoo()
-        src = sink_of[coo.row]
-        leaving = np.flatnonzero((src >= 0) & (sink_of[coo.col] != src))
-        if leaving.size:
-            i = leaving[0]
-            raise ContractViolation(
-                f"{kind} edge {coo.row[i]}->{coo.col[i]} leaves supposed sink {sinks[src[i]]}"
-            )
+        left = np.flatnonzero(leaving(sinks, matrix))
+        if left.size:
+            raise ContractViolation(f"a {kind} edge leaves supposed sink {sinks[left[0]]}")
     chain = cmc.copy()
     chain._collapse(sinks, make_absorbing=True)
     return chain
@@ -232,17 +213,12 @@ def rsccs(chain: EpsilonMC) -> SccPartition:
     A component is a pseudosink when it has at least one outgoing epsilon
     edge and no outgoing regular edge; with neither it is a sink.
     """
-    comps = strongly_connected_components(chain.live_nodes(), _adjacency(chain.reg))
+    live = np.array(chain.live_nodes())
+    comps = [live[c].tolist() for c in strongly_connected_components(chain.reg[live][:, live])]
     comps.sort(key=lambda c: c[0])
-    comp_of = _group_ids(chain.num_original, comps)
-    leaves = []
-    for matrix in (chain.reg, chain.eps):
-        coo = matrix.tocoo()
-        src = comp_of[coo.row]
-        leaves.append(np.bincount(src[src != comp_of[coo.col]], minlength=len(comps)) > 0)
     labels = [
         "ordinary" if reg_out else "pseudosink" if eps_out else "sink"
-        for reg_out, eps_out in zip(*leaves)
+        for reg_out, eps_out in zip(leaving(comps, chain.reg), leaving(comps, chain.eps))
     ]
     return SccPartition(comps, labels)
 
@@ -256,8 +232,10 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
     """
     if not chain.absorbing:
         raise ContractViolation("chain has no absorbing nodes")
-    reg_in = _adjacency(chain.reg.T.tocsr())
-    eps_in = _adjacency(chain.eps.T.tocsr())
+    # In-lists as (indptr, indices) Python lists of the transposed matrices.
+    (reg_ptr, reg_in), (eps_ptr, eps_in) = (
+        (m.indptr.tolist(), m.indices.tolist()) for m in (chain.reg.T.tocsr(), chain.eps.T.tocsr())
+    )
     dist: dict[int, int] = {}
     dq: deque[tuple[int, int]] = deque()
     for a in sorted(chain.absorbing):
@@ -267,11 +245,11 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
         v, d = dq.popleft()
         if d > dist[v]:
             continue
-        for src in reg_in(v):
+        for src in reg_in[reg_ptr[v] : reg_ptr[v + 1]]:
             if src not in dist or d < dist[src]:
                 dist[src] = d
                 dq.appendleft((src, d))
-        for src in eps_in(v):
+        for src in eps_in[eps_ptr[v] : eps_ptr[v + 1]]:
             if src not in dist or d + 1 < dist[src]:
                 dist[src] = d + 1
                 dq.append((src, d + 1))
@@ -365,12 +343,12 @@ def _hitting_rows(chain: EpsilonMC, nodes: list[int], result) -> np.ndarray:
 
 
 def _collapsed_profile_chain(game, tie_tolerance: float):
-    """Profile chain of `game` with its sinks collapsed, plus those sinks."""
-    from .game import build_cmc
+    """Profile chain of `game` with its sinks collapsed, plus those sinks,
+    taken from the reduced response graph as the `sinks` command does."""
+    from .game import build_cmc, build_reduced_response_graph, sink_equilibria
 
-    cmc = build_cmc(game, tie_tolerance)
-    sinks = sink_components(range(cmc.num_original), _adjacency(cmc.reg + cmc.eps))
-    return from_cmc(cmc, sinks), sinks
+    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
+    return from_cmc(build_cmc(game, tie_tolerance), sinks), sinks
 
 
 def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatrix:

@@ -2,8 +2,8 @@
 
 Pure strategy profiles are encoded as mixed-radix integers with player 0 as
 the least significant digit, so profile ``(a_0, ..., a_{p-1})`` has id
-``sum_i a_i * prod_{j<i} s_j``.  All structures here are immutable once
-built and safe for concurrent reads.
+``sum_i a_i * prod_{j<i} s_j``.  Nothing here modifies a structure once it
+is built, so all of them are safe for concurrent reads.
 """
 
 import json
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .epsmc import EpsilonMC
 from .errors import GameFormatError
@@ -119,22 +120,15 @@ def profile_label(profile_id: int, game: Game) -> str:
 class ResponseGraph:
     """All single-player weakly-improving deviations between pure profiles.
 
-    Regular edges carry the strict utility improvement; tie edges are stored
-    once per unordered pair (they act bidirectionally).
+    `regular_edges` is an ``(m, 4)`` float array of rows ``(from, to, player,
+    improvement)``; `tie_edges` an ``(k, 3)`` int array of rows ``(from, to,
+    player)`` with from < to, stored once per unordered pair.  `adjacency`
+    is the CSR pattern of both, with every tie in both directions.
     """
 
-    num_nodes: int
-    regular_edges: tuple  # (from, to, player, improvement)
-    tie_edges: tuple  # (from, to, player) with from < to
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.num_nodes)]
-        for u, v, _, _ in self.regular_edges:
-            adj[u].append(v)
-        for u, v, _ in self.tie_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    regular_edges: np.ndarray
+    tie_edges: np.ndarray
+    adjacency: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -143,23 +137,25 @@ class ReducedGraph:
     response graph: per player line, a chain through the utility-sorted
     profiles plus one cycle-closing edge per tied group."""
 
-    num_nodes: int
-    adjacency: tuple  # tuple of tuples of successors
+    adjacency: sp.csr_matrix
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency)
+        return self.adjacency.nnz
 
 
-def _player_lines(game: Game, player: int):
-    """Yield the profile-id lists of every line along `player`'s strategies."""
-    s = game.strategy_counts[player]
-    stride = game.strides[player]
-    block = stride * s
-    for base_block in range(0, game.num_profiles, block):
-        for r in range(stride):
-            base = base_block + r
-            yield [base + t * stride for t in range(s)]
+def _player_lines(game: Game, player: int) -> np.ndarray:
+    """Profile ids of every line along `player`'s strategies, one row per
+    line in ascending order of its first id."""
+    s, stride = game.strategy_counts[player], game.strides[player]
+    ids = np.arange(game.num_profiles).reshape(-1, s, stride)
+    return ids.transpose(0, 2, 1).reshape(-1, s)
+
+
+def _pattern(n: int, rows, cols) -> sp.csr_matrix:
+    """n x n CSR pattern of the edges in lists of source and target arrays."""
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
 def _check_tie_tolerance(tie_tolerance: float) -> None:
@@ -175,26 +171,25 @@ def build_response_graph(game: Game, tie_tolerance: float = 0.0) -> ResponseGrap
     A deviation with utility gain above `tie_tolerance` becomes a regular
     edge; a gain within the tolerance in absolute value becomes a tie edge.
     The default tolerance 0 means exact equality, which is the right notion
-    for integer-valued utilities.
+    for integer-valued utilities.  Edges come in (player, line, from, to)
+    order.
     """
     _check_tie_tolerance(tie_tolerance)
-    regular = []
-    ties = []
+    regular, ties = [], []
     for player in range(game.num_players):
-        util = game.utilities[player]
-        for line in _player_lines(game, player):
-            vals = util[line]
-            k = len(line)
-            for a in range(k):
-                for b in range(k):
-                    if a == b:
-                        continue
-                    gain = float(vals[b] - vals[a])
-                    if gain > tie_tolerance:
-                        regular.append((line[a], line[b], player, gain))
-                    elif a < b and abs(gain) <= tie_tolerance:
-                        ties.append((line[a], line[b], player))
-    return ResponseGraph(game.num_profiles, tuple(regular), tuple(ties))
+        lines = _player_lines(game, player)
+        vals = game.utilities[player][lines]
+        gain = vals[:, None, :] - vals[:, :, None]  # gain[l, a, b] = vals[l, b] - vals[l, a]
+        l, a, b = np.nonzero(gain > tie_tolerance)
+        regular.append(np.column_stack([lines[l, a], lines[l, b], np.full(l.size, player),
+                                        gain[l, a, b]]))
+        upper = ~np.tri(lines.shape[1], dtype=bool)  # a < b: each tie once
+        l, a, b = np.nonzero((np.abs(gain) <= tie_tolerance) & upper)
+        ties.append(np.column_stack([lines[l, a], lines[l, b], np.full(l.size, player)]))
+    reg, tie = np.concatenate(regular), np.concatenate(ties)
+    u, v = reg[:, 0].astype(np.intp), reg[:, 1].astype(np.intp)
+    adjacency = _pattern(game.num_profiles, [u, tie[:, 0], tie[:, 1]], [v, tie[:, 1], tie[:, 0]])
+    return ResponseGraph(reg, tie, adjacency)
 
 
 def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> ReducedGraph:
@@ -203,37 +198,27 @@ def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> Redu
     in increasing order, and each group of tied profiles gets one back edge
     from its last to its first member to close the tie cycle."""
     _check_tie_tolerance(tie_tolerance)
-    adj = [[] for _ in range(game.num_profiles)]
+    rows, cols = [], []
     for player in range(game.num_players):
-        util = game.utilities[player]
-        for line in _player_lines(game, player):
-            k = len(line)
-            if k == 1:
-                continue
-            vals = util[line]
-            order = np.argsort(vals, kind="stable")
-            members = [line[int(i)] for i in order]
-            sorted_vals = [float(vals[int(i)]) for i in order]
-            for j in range(k - 1):
-                adj[members[j]].append(members[j + 1])
-            group_start = 0
-            for j in range(k):
-                last_of_group = j == k - 1 or sorted_vals[j + 1] - sorted_vals[j] > tie_tolerance
-                if last_of_group:
-                    if j > group_start:
-                        adj[members[j]].append(members[group_start])
-                    group_start = j + 1
-    return ReducedGraph(game.num_profiles, tuple(tuple(a) for a in adj))
+        lines = _player_lines(game, player)
+        vals = game.utilities[player][lines]
+        order = np.argsort(vals, axis=1, kind="stable")
+        members = np.take_along_axis(lines, order, axis=1)
+        gaps = np.diff(np.take_along_axis(vals, order, axis=1), axis=1)
+        # cut[:, j]: a tie group starts at sorted position j (and one ends at j - 1).
+        cut = np.pad(gaps > tie_tolerance, ((0, 0), (1, 1)), constant_values=True)
+        pos = np.arange(lines.shape[1])
+        first = np.maximum.accumulate(np.where(cut[:, :-1], pos, 0), axis=1)
+        l, last = np.nonzero(cut[:, 1:] & (first < pos))
+        rows += [members[:, :-1].ravel(), members[l, last]]
+        cols += [members[:, 1:].ravel(), members[l, first[l, last]]]
+    return ReducedGraph(_pattern(game.num_profiles, rows, cols))
 
 
 def sink_equilibria(graph) -> list:
     """Sink SCCs of a response graph (full or reduced), each sorted, ordered
-    by smallest member profile id.  Tie edges count in both directions."""
-    if isinstance(graph, ReducedGraph):
-        adj = graph.adjacency
-    else:
-        adj = graph.adjacency()
-    return sink_components(range(graph.num_nodes), lambda v: adj[v])
+    by smallest member profile id."""
+    return sink_components(graph.adjacency)
 
 
 def build_cmc(game: Game, tie_tolerance: float = 0.0) -> EpsilonMC:
@@ -244,13 +229,13 @@ def build_cmc(game: Game, tie_tolerance: float = 0.0) -> EpsilonMC:
     the residual probability is an implicit self-loop that is never stored."""
     graph = build_response_graph(game, tie_tolerance)
     n = game.num_profiles
-    reg = np.array(graph.regular_edges, dtype=float).reshape(-1, 4)  # u, v, player, gain
+    reg = graph.regular_edges  # u, v, player, gain
     src = reg[:, 0].astype(np.intp)
     weights = reg[:, 3] / np.bincount(src, weights=reg[:, 3], minlength=n)[src]
-    ties = np.array(graph.tie_edges, dtype=float).reshape(-1, 3)  # u, v, player
-    ties[:, 2] = 1.0
+    ties = graph.tie_edges[:, :2]
+    ties = np.concatenate([ties, ties[:, ::-1]])
     return EpsilonMC.from_edges(
-        n, np.column_stack([reg[:, :2], weights]), np.concatenate([ties, ties[:, [1, 0, 2]]])
+        n, np.column_stack([reg[:, :2], weights]), np.column_stack([ties, np.ones(len(ties))])
     )
 
 

@@ -1,51 +1,49 @@
 """Strongly connected components (iterative Tarjan) and sink detection.
 
-Works on an explicit node list plus an adjacency callback so the same code
-serves dense profile graphs (nodes 0..n-1) and partially collapsed chains
-whose live node ids are sparse.
+Every function takes a square CSR matrix whose nonzero pattern is the edge
+set; node ids are the row indices.
 """
 
-from typing import Callable, Iterable, Sequence
+import numpy as np
 
 
-def strongly_connected_components(
-    nodes: Sequence[int], successors: Callable[[int], Iterable[int]]
-) -> list[list[int]]:
+def strongly_connected_components(matrix) -> list[list[int]]:
     """Tarjan's algorithm, iterative so deep chains cannot overflow the stack.
 
     Returns the list of components; each component is sorted ascending.
     """
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
+    n = len(indptr) - 1
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         # Each work item is (node, iterator over its successors).
-        work = [(root, iter(successors(root)))]
+        work = [(root, iter(indices[indptr[root] : indptr[root + 1]]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
+                    on_stack[w] = True
+                    work.append((w, iter(indices[indptr[w] : indptr[w + 1]])))
                     advanced = True
                     break
-                if w in on_stack:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -57,7 +55,7 @@ def strongly_connected_components(
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
@@ -66,22 +64,26 @@ def strongly_connected_components(
     return components
 
 
-def sink_components(
-    nodes: Sequence[int], successors: Callable[[int], Iterable[int]]
-) -> list[list[int]]:
+def group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
+    """Index of each node's group, -1 for nodes in none."""
+    ids = np.full(num_nodes, -1)
+    ids[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return ids
+
+
+def leaving(components: list[list[int]], matrix) -> np.ndarray:
+    """Mask of the components that some edge of `matrix` leaves."""
+    comp_of = group_ids(matrix.shape[0], components)
+    coo = matrix.tocoo()
+    src = comp_of[coo.row]
+    out = (src >= 0) & (src != comp_of[coo.col])
+    return np.bincount(src[out], minlength=len(components)) > 0
+
+
+def sink_components(matrix) -> list[list[int]]:
     """Components of the condensation with no outgoing edge, sorted by
     smallest member."""
-    comps = strongly_connected_components(nodes, successors)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    is_sink = [True] * len(comps)
-    for comp in comps:
-        for v in comp:
-            for w in successors(v):
-                if comp_of[w] != comp_of[v]:
-                    is_sink[comp_of[v]] = False
-                    break
-            if not is_sink[comp_of[v]]:
-                break
-    sinks = [comp for comp, keep in zip(comps, is_sink) if keep]
+    comps = strongly_connected_components(matrix)
+    sinks = [comp for comp, out in zip(comps, leaving(comps, matrix)) if not out]
     sinks.sort(key=lambda c: c[0])
     return sinks

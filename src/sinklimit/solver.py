@@ -45,10 +45,10 @@ class StochasticMatrix:
             raise ValueError(f"matrix is {m.shape}, not square")
         if self.absorbing.shape != (m.shape[0],):
             raise ValueError("absorbing mask length does not match the matrix")
-        if m.nnz and m.data.min() < 0:
-            raise ValueError("negative transition probability")
+        if not np.all(m.data >= 0):
+            raise ValueError("negative or NaN transition probability")
         sums = np.asarray(m.sum(axis=1)).ravel()
-        bad = ~self.absorbing & (np.abs(sums - 1.0) > 1e-12)
+        bad = ~self.absorbing & ~(np.abs(sums - 1.0) <= 1e-12)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"row {i} sums to {sums[i]!r}, expected 1")
@@ -302,8 +302,8 @@ def oracle_hitting_at_epsilon(chain: "EpsilonMC", eps: float) -> AbsorptionResul
 
     Matrix index `i` corresponds to ``chain.live_nodes()[i]``.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     nodes = chain.live_nodes()
     n = len(nodes)
     reg = chain.reg[nodes][:, nodes].tocoo()

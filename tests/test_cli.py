@@ -95,6 +95,25 @@ def test_hit_oracle_flag_agrees(tmp_path, capsys):
             assert abs(oracle["rows"][profile][label] - value) < 1e-6
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_oracle_eps_must_be_finite(tmp_path, capsys, fig3_game, eps):
+    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game), "--oracle-eps", eps)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INPUT_ERROR: eps")
+
+
+def test_hit_output_is_indented_json(tmp_path, capsys, fig3_game):
+    gpath = write_game(tmp_path, fig3_game)
+    out_path = tmp_path / "hit.json"
+    code, stdout, _ = run_cli(capsys, "hit", gpath)
+    assert code == 0
+    assert run_cli(capsys, "hit", gpath, "-o", str(out_path)) == (0, "", "")
+    for text in (stdout, out_path.read_text()):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert out_path.read_text() == stdout
+
+
 def test_limit_pure_prior_exact(tmp_path, capsys, fig3_game):
     gpath = write_game(tmp_path, fig3_game)
     wpath = tmp_path / "weights.json"
@@ -260,15 +279,16 @@ def response_graph_edge_lines(game) -> set:
     """DOT edge lines drawn straight from the response graph: regular edges
     weighted by their share of the node's total gain, ties both ways."""
     graph = build_response_graph(game)
+    regular = [(int(u), int(v), gain) for u, v, _, gain in graph.regular_edges.tolist()]
     total = np.zeros(game.num_profiles)
-    for u, _, _, gain in graph.regular_edges:
+    for u, _, gain in regular:
         total[u] += gain
     name = [profile_label(pid, game) for pid in range(game.num_profiles)]
     lines = {
         f'"{name[u]}" -> "{name[v]}" [label="{gain / total[u]:.2f}"];'
-        for u, v, _, gain in graph.regular_edges
+        for u, v, gain in regular
     }
-    for u, v, _ in graph.tie_edges:
+    for u, v, _ in graph.tie_edges.tolist():
         lines |= {f'"{name[u]}" -> "{name[v]}" [label="0.00"];',
                   f'"{name[v]}" -> "{name[u]}" [label="0.00"];'}
     return lines
@@ -327,7 +347,7 @@ def test_random_game_integer_mode_has_ties(tmp_path, capsys):
         "--mode", "integer", "-o", str(out),
     )
     assert code == 0
-    assert build_response_graph(load_game(out)).tie_edges
+    assert len(build_response_graph(load_game(out)).tie_edges) > 0
 
 
 def test_random_game_requires_seed(capsys):

@@ -17,13 +17,43 @@ from sinklimit import (
     random_game,
     sink_equilibria,
 )
-from sinklimit.scc import strongly_connected_components
+from sinklimit.scc import sink_components, strongly_connected_components
 
 from conftest import bimatrix
 
 
 def one_player(utilities) -> Game:
     return Game((len(utilities),), (np.array(utilities, dtype=float),))
+
+
+def successors(matrix) -> tuple:
+    """Sorted successor tuple of every row of a CSR pattern."""
+    return tuple(
+        tuple(sorted(matrix.indices[matrix.indptr[v] : matrix.indptr[v + 1]].tolist()))
+        for v in range(matrix.shape[0])
+    )
+
+
+def enumerated_edges(game, tie_tolerance):
+    """Regular and tie edges by direct enumeration of every profile's
+    deviations, in (player, line, from strategy, to strategy) order."""
+    regular, ties = [], []
+    for player, s in enumerate(game.strategy_counts):
+        for base in range(game.num_profiles):
+            profile = list(decode_profile(base, game))
+            if profile[player]:
+                continue
+            line = [encode_profile(profile[:player] + [a] + profile[player + 1 :], game)
+                    for a in range(s)]
+            for a in range(s):
+                for b in range(s):
+                    u, v = line[a], line[b]
+                    gain = game.utility(player, v) - game.utility(player, u)
+                    if a != b and gain > tie_tolerance:
+                        regular.append([u, v, player, gain])
+                    elif a < b and abs(gain) <= tie_tolerance:
+                        ties.append([u, v, player])
+    return regular, ties
 
 
 def reachable_sets(num_nodes, adj):
@@ -96,36 +126,63 @@ def test_fig2_column_edge(fig2_game):
 
 def test_fig3_tie_edge_and_no_regular_out(fig3_game):
     graph = build_response_graph(fig3_game)
-    assert (2, 8, 1) in graph.tie_edges
+    assert [2, 8, 1] in graph.tie_edges.tolist()
     assert not any(u == 8 for u, _, _, _ in graph.regular_edges)
 
 
 def test_one_player_improvement_edge():
     graph = build_response_graph(one_player((0.0, 5.0)))
-    assert graph.regular_edges == ((0, 1, 0, 5.0),)
-    assert graph.tie_edges == ()
+    assert graph.regular_edges.tolist() == [[0, 1, 0, 5.0]]
+    assert graph.tie_edges.tolist() == []
 
 
 def test_edges_are_single_player_deviations():
     game = random_game(3, 3, (2, 3, 2), mode="integer")
     graph = build_response_graph(game)
-    for u, v, player, gain in graph.regular_edges:
+    for u, v, player, gain in graph.regular_edges.tolist():
+        u, v, player = int(u), int(v), int(player)
         du, dv = decode_profile(u, game), decode_profile(v, game)
         diff = [i for i in range(3) if du[i] != dv[i]]
         assert diff == [player]
         assert gain > 0
         assert game.utility(player, v) - game.utility(player, u) == gain
-    for u, v, player in graph.tie_edges:
+    for u, v, player in graph.tie_edges.tolist():
         assert u < v
         assert game.utility(player, v) == game.utility(player, u)
 
 
 def test_tie_tolerance_reclassifies_near_ties():
     game = one_player((0.0, 1e-12))
-    assert build_response_graph(game).regular_edges
+    assert len(build_response_graph(game).regular_edges) > 0
     graph = build_response_graph(game, tie_tolerance=1e-9)
-    assert not graph.regular_edges
-    assert graph.tie_edges == ((0, 1, 0),)
+    assert len(graph.regular_edges) == 0
+    assert graph.tie_edges.tolist() == [[0, 1, 0]]
+
+
+def seeded_tie_games():
+    for seed in range(40, 60):
+        yield random_game(seed, 4, (3,) * 4, mode="integer", int_max=2)
+    for seed in range(20):
+        yield random_game(seed, 3, (3, 3, 3), mode="integer", int_max=1)
+        yield random_game(seed, 2, (6, 6), mode="integer", int_max=2)
+        yield random_game(seed, 6, (2,) * 6, mode="integer", int_max=1)
+
+
+def test_response_graph_matches_enumeration():
+    cases = [(game, tol) for game in seeded_tie_games() for tol in (0.0, 0.5)]
+    cases += [(random_game(seed, 3, (2, 3, 4)), 0.0) for seed in range(5)]
+    for game, tol in cases:
+        graph = build_response_graph(game, tol)
+        regular, ties = enumerated_edges(game, tol)
+        assert graph.regular_edges.tolist() == regular
+        assert graph.tie_edges.tolist() == ties
+        expected = [[] for _ in range(game.num_profiles)]
+        for u, v, *_ in regular:
+            expected[u].append(v)
+        for u, v, _ in ties:
+            expected[u].append(v)
+            expected[v].append(u)
+        assert successors(graph.adjacency) == tuple(tuple(sorted(a)) for a in expected)
 
 
 @pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
@@ -141,19 +198,49 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tolerance):
 
 def test_reduced_line_strictly_sorted():
     red = build_reduced_response_graph(one_player((1.0, 2.0, 3.0)))
-    assert red.adjacency == ((1,), (2,), ())
+    assert successors(red.adjacency) == ((1,), (2,), ())
 
 
 def test_reduced_line_with_tie_pair():
     red = build_reduced_response_graph(one_player((2.0, 2.0, 5.0)))
-    assert red.adjacency == ((1,), (2, 0), ())
+    assert successors(red.adjacency) == ((1,), (0, 2), ())
     full = build_response_graph(one_player((2.0, 2.0, 5.0)))
-    assert reachable_sets(3, red.adjacency) == reachable_sets(3, full.adjacency())
+    assert reachable_sets(3, successors(red.adjacency)) == reachable_sets(
+        3, successors(full.adjacency)
+    )
 
 
 def test_reduced_line_trailing_tie_group():
     red = build_reduced_response_graph(one_player((5.0, 5.0)))
-    assert red.adjacency == ((1,), (0,))
+    assert successors(red.adjacency) == ((1,), (0,))
+
+
+def test_reduced_graph_matches_line_sort():
+    # The per-line loop the array code replaced: sort, chain, close each tie group.
+    for game in list(seeded_tie_games())[::4]:
+        for tol in (0.0, 0.5):
+            expected = [set() for _ in range(game.num_profiles)]
+            for player, s in enumerate(game.strategy_counts):
+                for base in range(game.num_profiles):
+                    profile = list(decode_profile(base, game))
+                    if profile[player]:
+                        continue
+                    line = [encode_profile(profile[:player] + [a] + profile[player + 1 :], game)
+                            for a in range(s)]
+                    line.sort(key=lambda pid: game.utility(player, pid))
+                    start = 0
+                    for j in range(s):
+                        if j + 1 < s:
+                            expected[line[j]].add(line[j + 1])
+                        gap = j + 1 == s or (game.utility(player, line[j + 1])
+                                             - game.utility(player, line[j]) > tol)
+                        if gap:
+                            if j > start:
+                                expected[line[j]].add(line[start])
+                            start = j + 1
+            red = build_reduced_response_graph(game, tol)
+            assert successors(red.adjacency) == tuple(tuple(sorted(a)) for a in expected)
+            assert red.num_edges == sum(map(len, expected))
 
 
 def test_reduced_closure_and_sinks_match_full():
@@ -165,21 +252,11 @@ def test_reduced_closure_and_sinks_match_full():
             game = random_game(seed, p, counts, mode=mode)
             full = build_response_graph(game)
             red = build_reduced_response_graph(game)
-            assert reachable_sets(game.num_profiles, red.adjacency) == reachable_sets(
-                game.num_profiles, full.adjacency()
+            assert reachable_sets(game.num_profiles, successors(red.adjacency)) == (
+                reachable_sets(game.num_profiles, successors(full.adjacency))
             )
-            full_sccs = {
-                frozenset(c)
-                for c in strongly_connected_components(
-                    range(game.num_profiles), lambda v, a=full.adjacency(): a[v]
-                )
-            }
-            red_sccs = {
-                frozenset(c)
-                for c in strongly_connected_components(
-                    range(game.num_profiles), lambda v: red.adjacency[v]
-                )
-            }
+            full_sccs = {frozenset(c) for c in strongly_connected_components(full.adjacency)}
+            red_sccs = {frozenset(c) for c in strongly_connected_components(red.adjacency)}
             assert full_sccs == red_sccs
             assert sink_equilibria(red) == sink_equilibria(full)
 
@@ -242,16 +319,10 @@ def test_cmc_rows_normalized_and_positive():
 
 
 def test_cmc_sink_sccs_match_response_graph():
-    from sinklimit.scc import sink_components
-
     for seed in range(10):
         game = random_game(seed, 2, (3, 3), mode="integer")
         chain = build_cmc(game)
-
-        def successors(v):
-            return list(chain.regular_out(v)) + list(chain.eps_out(v))
-
-        chain_sinks = sink_components(range(game.num_profiles), successors)
+        chain_sinks = sink_components(chain.reg + chain.eps)
         assert chain_sinks == sink_equilibria(build_response_graph(game))
 
 
@@ -269,14 +340,14 @@ def test_random_game_deterministic():
 def test_random_game_continuous_has_no_ties():
     for seed in range(25):
         graph = build_response_graph(random_game(seed, 2, (3, 3)))
-        assert graph.tie_edges == ()
+        assert len(graph.tie_edges) == 0
 
 
 def test_random_game_integer_mode_tie_rate():
     with_ties = sum(
         1
         for seed in range(1000)
-        if build_response_graph(random_game(seed, 2, (3, 3), mode="integer")).tie_edges
+        if len(build_response_graph(random_game(seed, 2, (3, 3), mode="integer")).tie_edges)
     )
     assert with_ties > 950
 

@@ -1,21 +1,32 @@
-from sinklimit.scc import sink_components, strongly_connected_components
+import numpy as np
+import scipy.sparse as sp
+
+from sinklimit.scc import leaving, sink_components, strongly_connected_components
+
+
+def csr(adj) -> sp.csr_matrix:
+    """Pattern matrix of a {node: successors} dict over nodes 0..len-1."""
+    rows = [u for u, succ in adj.items() for _ in succ]
+    cols = [v for succ in adj.values() for v in succ]
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(adj), len(adj)))
 
 
 def test_tarjan_partitions_known_graph():
     adj = {0: [1], 1: [2], 2: [0], 3: [1, 2, 4], 4: [5, 3], 5: [6, 1], 6: [5], 7: [6, 7, 4]}
-    comps = strongly_connected_components(range(8), lambda v: adj[v])
+    comps = strongly_connected_components(csr(adj))
     as_sets = {frozenset(c) for c in comps}
     assert as_sets == {frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5, 6}), frozenset({7})}
 
 
 def test_tarjan_deep_chain_is_iterative():
     n = 50_000
-    comps = strongly_connected_components(range(n), lambda v: [v + 1] if v + 1 < n else [])
+    chain = sp.csr_matrix((np.ones(n - 1), (np.arange(n - 1), np.arange(1, n))), shape=(n, n))
+    comps = strongly_connected_components(chain)
     assert len(comps) == n
 
 
 def test_sink_components_ordering_and_members():
     adj = {0: [1], 1: [0, 2], 2: [3], 3: [2], 4: [], 5: [4]}
-    sinks = sink_components(range(6), lambda v: adj[v])
+    sinks = sink_components(csr(adj))
     assert sinks == [[2, 3], [4]]
-
+    assert leaving([[0, 1], [2, 3], [4], [5]], csr(adj)).tolist() == [True, False, False, True]

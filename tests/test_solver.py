@@ -238,6 +238,13 @@ def test_stochastic_matrix_validation():
         absorbing_chain([[-0.5, 1.5], [0, 0]], [1])
 
 
+def test_stochastic_matrix_rejects_nan_rows():
+    # `nan < 0` and `abs(nan - 1) > 1e-12` are both False.
+    for P in ([[0, np.nan, 1.0], [0, 0, 0], [0, 0, 0]], [[0, 0.5, 0.5], [0, 0, np.nan], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="NaN"):
+            absorbing_chain(P, [2])
+
+
 # -- epsilon oracle -------------------------------------------------------------
 
 
