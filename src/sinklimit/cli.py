@@ -25,7 +25,6 @@ from .game import (
     load_game,
     profile_label,
     random_game,
-    save_game,
     sink_equilibria,
 )
 
@@ -39,8 +38,11 @@ def _sink_label(index: int, sink, game) -> str:
 def _output(args):
     """The `-o` file, opened for writing, or stdout."""
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            yield fh
+        try:
+            with open(args.output, "w") as fh:
+                yield fh
+        except OSError as exc:  # opening, writing or closing
+            raise GameFormatError(f"output: cannot write {args.output}: {exc}") from exc
     else:
         yield sys.stdout
 
@@ -220,6 +222,10 @@ def _load_hitting(path, game) -> epsmc.HittingMatrix:
             probs[pid] = [row[lab] for lab in labels]
     except (KeyError, TypeError) as exc:
         raise GameFormatError(f"hit: malformed hitting matrix file ({exc})") from exc
+    # NaN fails both comparisons.
+    bad = np.flatnonzero(~(np.all(probs >= 0, axis=1) & (np.abs(probs.sum(axis=1) - 1) <= 1e-9)))
+    if bad.size:
+        raise GameFormatError(f"hit: row {profile_label(bad[0], game)} is not a distribution")
     return epsmc.HittingMatrix(probs, sinks)
 
 
@@ -230,10 +236,7 @@ def cmd_random_game(args) -> int:
     except ValueError as exc:
         raise GameFormatError(f"strategies: expected comma-separated integers") from exc
     game = random_game(seed, args.players, counts, mode=args.mode, int_max=args.int_max)
-    if args.output:
-        save_game(game, args.output)
-    else:
-        _emit_json(args, game_to_json(game))
+    _emit_json(args, game_to_json(game))
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epsmc import limit_hitting_probabilities
-from .game import Game, build_reduced_response_graph, sink_equilibria
+from .game import Game, build_reduced_response_graph, decode_profile, sink_equilibria
 
 _NOISE_BLOCK = 256
 
@@ -111,8 +111,6 @@ def vertex_profile(game: Game, profile_id: int, smoothing: float = 0.0):
     player's strategies so the dynamics can actually move; supports at the
     exact vertex are singletons and the state would be frozen forever.
     """
-    from .game import decode_profile
-
     strategies = decode_profile(profile_id, game)
     out = []
     for i, a in enumerate(strategies):
@@ -193,28 +191,17 @@ def _expected_utilities_batch(game: Game, X, player: int) -> np.ndarray:
     return np.einsum(expr, *operands)
 
 
-def best_response_vector(game: Game, x, player: int, mode: str = "support") -> np.ndarray:
+def best_response_vector(game: Game, x, player: int) -> np.ndarray:
     """Unit vector on `player`'s best response, projected to the support of x.
 
-    In `support` mode the argmax is restricted to the supported strategies
-    (ties break to the lowest index), so the vector is never zero; in
-    `global` mode the unrestricted argmax is used and the result is the zero
-    vector whenever that strategy is extinct.
+    The argmax is restricted to the supported strategies (ties break to the
+    lowest index), so the vector is never zero.
     """
     check_mixed_profile(game, x)
     X = [np.asarray(xi, dtype=float)[None, :] for xi in x]
     eu = _expected_utilities_batch(game, X, player)[0]
-    support = X[player][0] > 0
     out = np.zeros_like(eu)
-    if mode == "support":
-        idx = int(np.argmax(np.where(support, eu, -np.inf)))
-        out[idx] = 1.0
-    elif mode == "global":
-        idx = int(np.argmax(eu))
-        if support[idx]:
-            out[idx] = 1.0
-    else:
-        raise ValueError(f"unknown best-response mode {mode!r}")
+    out[int(np.argmax(np.where(X[player][0] > 0, eu, -np.inf)))] = 1.0
     return out
 
 

@@ -52,7 +52,7 @@ class EpsilonMC:
         self.origin = np.arange(reg.shape[0]) if origin is None else origin
 
     @classmethod
-    def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=(), validate=True):
+    def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=()):
         """Build a chain from ``(u, v, weight)`` / ``(u, v, coeff)`` triples
         or ``(m, 3)`` arrays; parallel edges of one class are summed."""
         mats = []
@@ -68,8 +68,7 @@ class EpsilonMC:
                 )
             mats.append(_csr(num_nodes, u, v, w))
         chain = cls(*mats, absorbing)
-        if validate:
-            chain.validate()
+        chain.validate()
         return chain
 
     # -- queries -----------------------------------------------------------
@@ -122,20 +121,18 @@ class EpsilonMC:
         One relabelling of both edge classes: the members' rows are dropped,
         every column is mapped through the new labels and parallel edges are
         summed, so edges among the members of a group vanish.  Unless the
-        nodes become absorbing, the caller supplies each collapsed node's
-        regular out-row in `new_rows` as a ``(targets, weights)`` pair, over
-        targets as they were before the collapse.
+        nodes become absorbing, the caller supplies the collapsed nodes'
+        regular out-rows in `new_rows` as ``(rep, target, weight)`` arrays
+        (see `_exit_rows`), over targets as they were before the collapse.
         """
         n = self.num_original
         group_of = group_ids(n, groups)
         is_member = group_of >= 0
-        reps = np.array([min(g) for g in groups])
+        nodes = np.flatnonzero(is_member)
+        reps = nodes[np.unique(group_of[nodes], return_index=True)[1]]  # smallest members
         label = np.where(is_member, reps[group_of], np.arange(n))
-        exits = []
-        for rep, (targets, weights) in zip(reps, new_rows or ()):
-            if np.any(label[targets] == rep):
-                raise ContractViolation("collapsed node cannot point into itself")
-            exits.append((np.full(len(targets), rep), np.asarray(targets), weights))
+        if new_rows is not None and np.any(label[new_rows[1]] == new_rows[0]):
+            raise ContractViolation("collapsed node cannot point into itself")
 
         def relabel(matrix, extra=()):
             coo = matrix.tocoo()
@@ -144,9 +141,9 @@ class EpsilonMC:
             rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
             return _csr(n, rows, label[cols], vals)
 
-        self.reg = relabel(self.reg, exits)
+        self.reg = relabel(self.reg, () if new_rows is None else (new_rows,))
         self.eps = relabel(self.eps)
-        self.absorbing.difference_update(np.flatnonzero(is_member).tolist())
+        self.absorbing.difference_update(nodes.tolist())
         if make_absorbing:
             self.absorbing.update(reps.tolist())
         self.origin = label[self.origin]
@@ -265,33 +262,38 @@ def collapse_pseudosink(chain: EpsilonMC, members: list[int], pi: np.ndarray) ->
     """Collapse pseudosink `members` into one node, in place.
 
     `pi` is the stationary distribution of the pseudosink's internal
-    regular-edge chain, aligned with `sorted(members)`; see `_exit_row` for
+    regular-edge chain, aligned with `sorted(members)`; see `_exit_rows` for
     the collapsed node's out-row.
     """
-    chain._collapse([members], new_rows=[_exit_row(chain, members, pi)])
+    chain._collapse([members], new_rows=_exit_rows(chain, [members], [pi]))
     return chain
 
 
-def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray):
-    """Regular out-row of pseudosink `members` once collapsed, as sorted
-    targets and their weights.
+def _exit_rows(chain: EpsilonMC, groups: list[list[int]], pis: list[np.ndarray]):
+    """Regular out-rows of the pseudosinks `groups` once collapsed, as
+    ``(rep, target, weight)`` arrays ordered by group, then by target.
 
-    Each external target y gets weight
+    `pis[g]` is the stationary distribution of group g's internal regular
+    chain, aligned with its sorted members, and `rep` is the group's
+    smallest member.  Each external target y of a group gets weight
 
         W(y) = sum of coeff(x -> y) * pi[x]  /  total over all exits,
 
-    which sums to one over the targets.
+    which sums to one over the group's targets.
     """
-    members = sorted(members)
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (len(members),):
+    n, k = chain.num_original, len(groups)
+    group_of = group_ids(n, groups)
+    nodes = np.flatnonzero(group_of >= 0)
+    members = nodes[np.argsort(group_of[nodes], kind="stable")]  # group by group, sorted
+    member_group = group_of[members]
+    if any(np.shape(pi) != (len(g),) for g, pi in zip(groups, pis)):
         raise ContractViolation("stationary vector does not match the component")
-    if not abs(float(pi.sum()) - 1.0) <= 1e-9 or np.any(pi < 0):
+    pi = np.concatenate(pis, dtype=float)
+    pi_total = np.bincount(member_group, weights=pi, minlength=k)
+    if not np.all(np.abs(pi_total - 1.0) <= 1e-9) or np.any(pi < 0):
         raise ContractViolation("stationary vector is not a normalized distribution")
-    inside = np.zeros(chain.num_original, dtype=bool)
-    inside[members] = True
     reg = chain.reg[members].tocoo()
-    escapes = np.flatnonzero(~inside[reg.col])
+    escapes = np.flatnonzero(group_of[reg.col] != member_group[reg.row])
     if escapes.size:
         i = escapes[0]
         raise ContractViolation(
@@ -299,13 +301,17 @@ def _exit_row(chain: EpsilonMC, members: list[int], pi: np.ndarray):
             "not a pseudosink"
         )
     eps = chain.eps[members].tocoo()
-    out = ~inside[eps.col]
-    if not out.any():
+    src = member_group[eps.row]
+    out = group_of[eps.col] != src
+    if not np.all(np.bincount(src[out], minlength=k)):
         raise ContractViolation("component has no outgoing eps edge; not a pseudosink")
-    # Row-major order: the masses add up member by member, as in the formula.
-    targets, slot = np.unique(eps.col[out], return_inverse=True)
+    # Row-major order: the masses add up member by member, as in the formula,
+    # and each group's total adds its masses up target by target.
+    keys, slot = np.unique(src[out] * n + eps.col[out], return_inverse=True)
     mass = np.bincount(slot, weights=eps.data[out] * pi[eps.row[out]])
-    return targets, mass / sum(mass.tolist())
+    group = keys // n
+    rep = members[np.searchsorted(member_group, group)]
+    return rep, keys % n, mass / np.bincount(group, weights=mass)[group]
 
 
 def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
@@ -322,13 +328,6 @@ def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
         )
     chain.eps = sp.csr_matrix(chain.eps.shape)
     return chain
-
-
-def _stationary_within(chain: EpsilonMC, members: list[int]) -> np.ndarray:
-    """Stationary distribution of a component's internal regular chain."""
-    if len(members) == 1:
-        return np.array([1.0])
-    return solver.stationary_distribution(chain.reg[members][:, members])
 
 
 def _hitting_rows(chain: EpsilonMC, nodes: list[int], result) -> np.ndarray:
@@ -375,8 +374,9 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
                 f"max order is {orders.max_order} but no pseudosink exists"
             )
         pseudo_counts.append(len(pseudos))
-        exits = [_exit_row(chain, m, _stationary_within(chain, m)) for m in pseudos]
-        chain._collapse(pseudos, new_rows=exits)
+        pis = [solver.stationary_distribution(chain.reg[m][:, m]) if len(m) > 1 else np.ones(1)
+               for m in pseudos]
+        chain._collapse(pseudos, new_rows=_exit_rows(chain, pseudos, pis))
         rounds += 1
         new_orders = node_orders(chain)
         if new_orders.max_order >= orders.max_order:

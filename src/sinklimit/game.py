@@ -286,13 +286,13 @@ def game_from_json(obj) -> Game:
     players = obj["players"]
     strategies = obj["strategies"]
     utilities = obj["utilities"]
-    if not isinstance(players, int) or players < 1:
+    if not isinstance(players, int) or isinstance(players, bool) or players < 1:
         raise GameFormatError(f"players: expected a positive integer, got {players!r}")
     if not isinstance(strategies, list) or len(strategies) != players:
         raise GameFormatError(
             f"strategies: expected a list of {players} counts"
         )
-    if not all(isinstance(s, int) and s >= 1 for s in strategies):
+    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in strategies):
         raise GameFormatError(f"strategies: counts must be positive integers")
     if not isinstance(utilities, list) or len(utilities) != players:
         raise GameFormatError(f"utilities: expected one tensor per player")

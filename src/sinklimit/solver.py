@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .epsmc import EpsilonMC
 
 
-
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic sparse matrix with a mask of absorbing rows.
@@ -55,10 +54,6 @@ class StochasticMatrix:
         if np.any(self.absorbing & (sums != 0.0)):
             raise ValueError("absorbing row has outgoing probability")
 
-    @property
-    def num_states(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass
 class AbsorptionResult:
@@ -77,7 +72,7 @@ class AbsorptionResult:
     bound_excess: float
 
 
-def stationary_distribution(chain, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(chain) -> np.ndarray:
     """Stationary distribution of one irreducible row-stochastic chain.
 
     Parameters
@@ -275,13 +270,11 @@ def _check_absorption_reachable(matrix: sp.spmatrix, mask: np.ndarray) -> None:
         )
 
 
-def chain_matrix(chain: "EpsilonMC", nodes: list[int] | None = None) -> StochasticMatrix:
+def chain_matrix(chain: "EpsilonMC", nodes: list[int]) -> StochasticMatrix:
     """Concrete stochastic matrix of a chain whose epsilon edges are gone.
 
     `nodes[i]` gives the chain node id sitting at matrix index `i`.
     """
-    if nodes is None:
-        nodes = chain.live_nodes()
     busy = np.flatnonzero(np.diff(chain.eps.indptr)[nodes])
     if busy.size:
         raise ValueError(f"node {nodes[busy[0]]} still has epsilon edges")

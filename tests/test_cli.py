@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,21 @@ def test_export_dot_reuses_hit_file(tmp_path, capsys, fig2_game):
     assert 'style=wedged' in out and ";0.750000" in out
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.25])
+def test_export_dot_rejects_hit_rows_that_are_not_distributions(tmp_path, capsys, fig2_game,
+                                                                 bad):
+    gpath = write_game(tmp_path, fig2_game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    payload = json.loads(hit_path.read_text())
+    row = payload["rows"][profile_label(2, fig2_game)]
+    row[payload["sink_labels"][0]] = bad
+    hit_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert code == 2 and out == ""
+    assert err == f"INPUT_ERROR: hit: row {profile_label(2, fig2_game)} is not a distribution\n"
+
+
 def response_graph_edge_lines(game) -> set:
     """DOT edge lines drawn straight from the response graph: regular edges
     weighted by their share of the node's total gain, ties both ways."""
@@ -336,6 +352,31 @@ def test_random_game_roundtrip_and_determinism(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     payload = json.loads(out_a.read_text())
     assert payload["players"] == 2 and payload["strategies"] == [3, 3]
+
+
+def test_random_game_file_matches_stdout(tmp_path, capsys):
+    argv = ["random-game", "--seed", "3", "-p", "2", "-s", "3,2"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "g.json"
+    assert run_cli(capsys, *argv, "-o", str(out)) == (0, "", "")
+    assert out.read_text() == stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["sinks", "hit", "export-dot", "random-game"])
+def test_unwritable_output_exits_two(tmp_path, capsys, fig3_game, command):
+    missing = tmp_path / "missing" / "out.json"
+    if command == "random-game":
+        argv = [command, "--seed", "1", "-p", "2", "-s", "2,2"]
+    else:
+        argv = [command, write_game(tmp_path, fig3_game)]
+    targets = [missing] + ([Path("/dev/full")] if Path("/dev/full").exists() else [])
+    for target in targets:  # /dev/full opens, then fails the write with ENOSPC
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"INPUT_ERROR: output: cannot write {target}: ")
+        assert err.count("\n") == 1
+    assert not missing.parent.exists()
 
 
 def test_random_game_integer_mode_has_ties(tmp_path, capsys):

@@ -94,12 +94,6 @@ def test_best_response_respects_support(fig2_game):
     np.testing.assert_array_equal(br, [0, 0, 1])
 
 
-def test_best_response_global_mode_can_vanish(fig2_game):
-    x = (np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.5, 0.0]))
-    br = best_response_vector(fig2_game, x, 0, mode="global")
-    np.testing.assert_array_equal(br, [0, 0, 0])
-
-
 # -- simplex projection ----------------------------------------------------------
 
 

@@ -100,7 +100,7 @@ def test_copy_is_independent():
     dup.reg.data[:] = 0.5
     dup.eps.data[:] = 2.0
     dup.absorbing.add(0)
-    dup._collapse([[0, 1]], new_rows=[(np.array([2]), np.array([1.0]))])
+    dup._collapse([[0, 1]], new_rows=(np.array([0]), np.array([2]), np.array([1.0])))
     assert chain.regular_out(0) == {1: 1.0}
     assert chain.eps_out(1) == {2: 1.0}
     assert chain.absorbing == {2}
@@ -289,7 +289,7 @@ def test_batch_collapse_matches_one_at_a_time():
     batch = EpsilonMC.from_edges(5, **edges)
     pseudos = rsccs(batch).pseudosinks()
     assert pseudos == [[0], [1, 2]]
-    exits = [epsmc._exit_row(batch, m, pis[tuple(m)]) for m in pseudos]
+    exits = epsmc._exit_rows(batch, pseudos, [pis[tuple(m)] for m in pseudos])
     batch._collapse(pseudos, new_rows=exits)
     serial = EpsilonMC.from_edges(5, **edges)
     for members in pseudos:
@@ -301,6 +301,51 @@ def test_batch_collapse_matches_one_at_a_time():
         assert batch.eps_out(v) == serial.eps_out(v) == {}
     assert batch.regular_out(0) == pytest.approx({1: 0.75, 4: 0.25}, abs=1e-15)
     assert batch.regular_out(1) == pytest.approx({0: 0.25, 3: 0.75}, abs=1e-15)
+
+
+def exit_rows_chain():
+    # Pseudosinks {0} and {1, 2} (a regular 2-cycle); node 5 has a regular
+    # out-edge and absorbing node 3 has no exit at all.
+    return EpsilonMC.from_edges(
+        6,
+        regular=[(1, 2, 1.0), (2, 1, 1.0), (5, 3, 1.0)],
+        eps=[(0, 4, 1.0), (0, 1, 1.0), (1, 4, 1.0), (2, 3, 3.0), (5, 4, 1.0)],
+        absorbing=[3, 4],
+    )
+
+
+@pytest.mark.parametrize(
+    "second, pi, match",
+    [
+        ([1, 2], [1.0], "match"),
+        ([1, 2], [0.9, 0.3], "normalized"),
+        ([1, 2], [1.5, -0.5], "normalized"),
+        ([1, 2], [float("nan"), 0.5], "normalized"),
+        ([5], [1.0], "regular out-edge 5->3"),
+        ([3], [1.0], "no outgoing eps edge"),
+    ],
+)
+def test_exit_rows_check_every_group(second, pi, match):
+    chain = exit_rows_chain()
+    epsmc._exit_rows(chain, [[0]], [np.ones(1)])  # the first group alone is fine
+    with pytest.raises(ContractViolation, match=match):
+        epsmc._exit_rows(chain, [[0], second], [np.ones(1), np.array(pi)])
+
+
+def test_exit_rows_match_one_group_at_a_time():
+    cases = [(exit_rows_chain(), [[0], [2, 1]], [np.ones(1), np.array([0.5, 0.5])])]
+    for seed in (43, 51, 55):
+        chain = collapsed_chain(random_game(seed, 4, (3,) * 4, mode="integer", int_max=2))
+        pseudos = rsccs(chain).pseudosinks()
+        cases.append((chain, pseudos, [np.ones(1)] * len(pseudos)))
+    for chain, groups, pis in cases:
+        batch = epsmc._exit_rows(chain, groups, pis)
+        single = [epsmc._exit_rows(chain, [g], [pi]) for g, pi in zip(groups, pis)]
+        for got, want in zip(batch, zip(*single)):
+            assert np.array_equal(got, np.concatenate(want))
+    rep, target, weight = epsmc._exit_rows(*cases[0])
+    assert rep.tolist() == [0, 0, 1, 1] and target.tolist() == [1, 4, 3, 4]
+    assert weight.tolist() == pytest.approx([0.5, 0.5, 0.75, 0.25], abs=1e-15)
 
 
 # -- epsilon deletion --------------------------------------------------------------

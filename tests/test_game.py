@@ -380,6 +380,19 @@ def test_game_json_errors_name_the_field():
         game_from_json(bad_players)
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"players": True, "strategies": [1], "utilities": [[0]]}, "players"),
+        ({"players": 1, "strategies": [True], "utilities": [[0]]}, "strategies"),
+        ({"players": 2, "strategies": [2, True], "utilities": [[0, 0], [0, 0]]}, "strategies"),
+    ],
+)
+def test_game_json_rejects_booleans_as_counts(obj, field):
+    with pytest.raises(GameFormatError, match=field):
+        game_from_json(obj)
+
+
 def test_game_validation():
     with pytest.raises(GameFormatError, match="finite"):
         Game((2,), (np.array([np.inf, 0.0]),))
