@@ -128,6 +128,8 @@ def _load_pure_weights(path, game) -> np.ndarray:
         obj = obj.get("weights")
     if not isinstance(obj, list):
         raise GameFormatError("weights: expected a JSON array (or {'weights': [...]})")
+    if not all(type(x) in (int, float) for x in obj):  # bool is not a JSON number
+        raise GameFormatError("weights: entries must be numbers")
     w = np.asarray(obj, dtype=float)
     if w.shape != (game.num_profiles,):
         raise GameFormatError(
@@ -212,16 +214,24 @@ def _load_hitting(path, game) -> epsmc.HittingMatrix:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"hit: cannot read hitting matrix {path}: {exc}") from exc
+    n = game.num_profiles
     try:
-        sinks = [list(map(int, s)) for s in obj["sinks"]]
+        sinks = obj["sinks"]
+        members = [pid for s in sinks for pid in s]
         labels = obj["sink_labels"]
         rows = obj["rows"]
-        probs = np.zeros((game.num_profiles, len(sinks)))
-        for pid in range(game.num_profiles):
-            row = rows[profile_label(pid, game)]
-            probs[pid] = [row[lab] for lab in labels]
+        probs = np.zeros((n, len(sinks)))
+        for pid in range(n):
+            row = [rows[profile_label(pid, game)][lab] for lab in labels]
+            if not all(type(x) in (int, float) for x in row):  # bool is not a JSON number
+                raise GameFormatError(f"hit: row {profile_label(pid, game)} holds a non-number")
+            probs[pid] = row
     except (KeyError, TypeError) as exc:
         raise GameFormatError(f"hit: malformed hitting matrix file ({exc})") from exc
+    if not (all(sinks) and all(type(pid) is int and 0 <= pid < n for pid in members)):
+        raise GameFormatError(f"hit: sinks must be non-empty lists of profile ids in 0..{n - 1}")
+    if len(set(members)) != len(members):
+        raise GameFormatError("hit: sinks must be disjoint")
     # NaN fails both comparisons.
     bad = np.flatnonzero(~(np.all(probs >= 0, axis=1) & (np.abs(probs.sum(axis=1) - 1) <= 1e-9)))
     if bad.size:

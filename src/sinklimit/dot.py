@@ -9,6 +9,7 @@ pair labeled "0.00".
 
 from .epsmc import HittingMatrix, limit_hitting_probabilities
 from .game import Game, build_cmc, profile_label
+from .scc import group_ids
 
 # Fixed 12-color palette, cycled by sink index so re-runs color identically.
 PALETTE = (
@@ -32,17 +33,14 @@ def export_dot(game: Game, hitting: HittingMatrix | None = None,
             f"hitting matrix shape {hitting.probabilities.shape} does not match "
             f"{n} profiles x {len(hitting.sinks)} sinks"
         )
-    sink_of = {}
-    for j, sink in enumerate(hitting.sinks):
-        for pid in sink:
-            sink_of[pid] = j
+    sink_of = group_ids(n, hitting.sinks).tolist()
 
     chain = build_cmc(game, tie_tolerance)
     names = [profile_label(pid, game) for pid in range(n)]
 
     lines = ["digraph game {", "  node [shape=ellipse];"]
     for pid, name in enumerate(names):
-        if pid in sink_of:
+        if sink_of[pid] >= 0:
             lines.append(
                 f'  "{name}" [style=filled, fillcolor="{sink_color(sink_of[pid])}"];'
             )

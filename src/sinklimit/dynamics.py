@@ -19,8 +19,10 @@ import numpy as np
 
 from .epsmc import limit_hitting_probabilities
 from .game import Game, build_reduced_response_graph, decode_profile, sink_equilibria
+from .scc import group_ids
 
 _NOISE_BLOCK = 256
+_VERTEX_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class ReplicatorParams:
     max_steps: int = 100_000
     window: int = 50
     rng_seed: int = 0
-    vertex_tolerance: float = 0.05
 
     def __post_init__(self):
         if not (0 < self.eta < math.inf and 0 < self.delta < math.inf):
@@ -336,7 +337,7 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
             dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
             frozen &= (X[i] > 0).sum(axis=1) == 1
         s = sink_of[nearest]
-        close = dist < params.vertex_tolerance
+        close = dist < _VERTEX_TOLERANCE
         same = (s == streak_sink) & (s >= 0)
         streak_len = np.where(same, streak_len + 1, np.where(s >= 0, 1, 0))
         streak_close = np.where(same, streak_close | close, (s >= 0) & close)
@@ -354,18 +355,11 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
     return result
 
 
-def _sink_lookup(game: Game, sinks) -> np.ndarray:
-    lookup = np.full(game.num_profiles, -1)
-    for j, sink in enumerate(sinks):
-        lookup[list(sink)] = j
-    return lookup
-
-
 def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
     """Classify one trajectory started at `x0`; returns the sink index or
     None when the run exhausts `max_steps` unclassified."""
     check_mixed_profile(game, x0)
-    res = _simulate_batch(game, x0, _sink_lookup(game, sinks), params, [rng])
+    res = _simulate_batch(game, x0, group_ids(game.num_profiles, sinks), params, [rng])
     return int(res[0]) if res[0] >= 0 else None
 
 
@@ -388,7 +382,7 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     if min(runs_per_sample, max_samples, checkpoint_every) < 1:
         raise ValueError("runs_per_sample, max_samples and checkpoint_every must be at least 1")
     sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
-    lookup = _sink_lookup(game, sinks)
+    lookup = group_ids(game.num_profiles, sinks)
     k = len(sinks)
     root = int(params.rng_seed)
     counts = np.zeros(k + 1)

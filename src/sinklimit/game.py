@@ -52,6 +52,11 @@ class Game:
             arr = arr.copy()
             arr.setflags(write=False)
             tensors.append(arr)
+        # Bounds every profile's total gain; Python floats overflow without warnings.
+        gain_bound = sum((s - 1) * (float(t.max()) - float(t.min()))
+                         for s, t in zip(counts, tensors) if s > 1)
+        if not math.isfinite(gain_bound):
+            raise GameFormatError("utilities: payoff differences overflow a float")
         object.__setattr__(self, "strategy_counts", counts)
         object.__setattr__(self, "utilities", tuple(tensors))
 

@@ -67,7 +67,8 @@ def strongly_connected_components(matrix) -> list[list[int]]:
 def group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
     """Index of each node's group, -1 for nodes in none."""
     ids = np.full(num_nodes, -1)
-    ids[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    if groups:
+        ids[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     return ids
 
 

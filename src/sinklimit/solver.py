@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverConvergenceError
+from .scc import sink_components
 
 if TYPE_CHECKING:  # pragma: no cover
     from .epsmc import EpsilonMC
@@ -31,8 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class StochasticMatrix:
     """Row-stochastic sparse matrix with a mask of absorbing rows.
 
-    Non-absorbing rows must sum to one within 1e-12; absorbing rows carry no
-    out-probability (the chain stops there).
+    Non-absorbing rows must sum to one within 1e-12; absorbing rows store no
+    entries, not even zeros (the chain stops there).
     """
 
     matrix: sp.csr_matrix
@@ -51,8 +52,8 @@ class StochasticMatrix:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"row {i} sums to {sums[i]!r}, expected 1")
-        if np.any(self.absorbing & (sums != 0.0)):
-            raise ValueError("absorbing row has outgoing probability")
+        if np.any(self.absorbing & (np.diff(m.tocsr().indptr) > 0)):
+            raise ValueError("absorbing row has outgoing entries")
 
 
 @dataclass
@@ -169,8 +170,14 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
             np.zeros((0, absorbing.size)), transient, absorbing, 0.0, 0.0
         )
 
-    _check_absorption_reachable(chain.matrix, mask)
     csr = chain.matrix.tocsr()
+    # Absorbing rows are empty, so absorbing states are singleton sinks; any
+    # other sink component is a closed class of transient states.
+    for comp in sink_components(csr):
+        if not mask[comp[0]]:
+            raise SolverConvergenceError(
+                f"transient state {comp[0]} has no path to an absorbing state"
+            )
     Q = csr[transient][:, transient]
     R = csr[transient][:, absorbing].toarray()
 
@@ -246,28 +253,6 @@ def _state_reduction_hitting(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
     for k, row in reversed(stack):
         hrows[k] = row @ hrows
     return hrows[transient]
-
-
-def _check_absorption_reachable(matrix: sp.spmatrix, mask: np.ndarray) -> None:
-    """BFS on the reversed graph; every transient state must reach absorption."""
-    csc = matrix.tocsc()
-    n = matrix.shape[0]
-    seen = mask.copy()
-    frontier = list(np.flatnonzero(mask))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            sources = csc.indices[csc.indptr[v] : csc.indptr[v + 1]]
-            for s in sources:
-                if not seen[s]:
-                    seen[s] = True
-                    nxt.append(int(s))
-        frontier = nxt
-    if not seen.all():
-        offender = int(np.flatnonzero(~seen)[0])
-        raise SolverConvergenceError(
-            f"transient state {offender} has no path to an absorbing state"
-        )
 
 
 def chain_matrix(chain: "EpsilonMC", nodes: list[int]) -> StochasticMatrix:

@@ -151,6 +151,32 @@ def test_pure_weights_must_be_finite(tmp_path, capsys, fig3_game, command):
     assert err.startswith("INPUT_ERROR:")
 
 
+@pytest.mark.parametrize("weights", [[True] + [False] * 8, ["1"] + ["0"] * 8])
+def test_pure_weights_must_be_numbers(tmp_path, capsys, fig3_game, weights):
+    gpath = write_game(tmp_path, fig3_game)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps(weights))
+    code, out, err = run_cli(capsys, "limit", gpath, f"pure:{wpath}")
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: weights: entries must be numbers\n"
+
+
+@pytest.mark.parametrize("utilities", [[1e308, -1e308], [0, 1e308, 1.5e308]])
+@pytest.mark.parametrize("command", ["sinks", "hit", "limit", "export-dot"])
+def test_payoff_differences_that_overflow_exit_two(tmp_path, capsys, command, utilities):
+    # Every payoff is finite, but a gain or a profile's total gain is not.
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps(
+        {"players": 1, "strategies": [len(utilities)], "utilities": [utilities]}
+    ))
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps([1.0] + [0.0] * (len(utilities) - 1)))
+    argv = [command, str(gpath)] + ([f"pure:{wpath}"] if command == "limit" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: utilities: payoff differences overflow a float\n"
+
+
 @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
 @pytest.mark.parametrize("command", ["sinks", "hit"])
 def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_game,
@@ -289,6 +315,47 @@ def test_export_dot_rejects_hit_rows_that_are_not_distributions(tmp_path, capsys
     code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
     assert code == 2 and out == ""
     assert err == f"INPUT_ERROR: hit: row {profile_label(2, fig2_game)} is not a distribution\n"
+
+
+@pytest.mark.parametrize("convert", [str, bool])
+def test_export_dot_rejects_hit_rows_that_are_not_numbers(tmp_path, capsys, fig2_game,
+                                                          convert):
+    gpath = write_game(tmp_path, fig2_game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    payload = json.loads(hit_path.read_text())
+    row = payload["rows"][profile_label(0, fig2_game)]
+    assert list(row.values()) == [1.0, 0.0]
+    for label in row:  # "1.0", "0.0" or true, false: still a distribution as numbers
+        row[label] = convert(row[label])
+    hit_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert code == 2 and out == ""
+    assert err == (f"INPUT_ERROR: hit: row {profile_label(0, fig2_game)} "
+                   "holds a non-number\n")
+
+
+@pytest.mark.parametrize("sinks, message", [
+    ([[0, 1, 3, 4], []], "non-empty lists"),
+    ([[0, 1, 3, 4], 8], "malformed"),
+    ([[0, 1, 3, 4], "8"], "in 0..8"),
+    ([[0, 1, 3, 4], [9]], "in 0..8"),
+    ([[0, 1, 3, 4], [-1]], "in 0..8"),
+    ([[0, 1, 3, 4], ["8"]], "in 0..8"),
+    ([[0, 1, 3, 4], [True]], "in 0..8"),
+    ([[0, 1, 3, 4], [4]], "disjoint"),
+])
+def test_export_dot_rejects_bad_hit_sinks(tmp_path, capsys, fig2_game, sinks, message):
+    gpath = write_game(tmp_path, fig2_game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    payload = json.loads(hit_path.read_text())
+    assert payload["sinks"] == [[0, 1, 3, 4], [8]]
+    payload["sinks"] = sinks
+    hit_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert code == 2 and out == ""
+    assert err.startswith("INPUT_ERROR: hit: ") and message in err
 
 
 def response_graph_edge_lines(game) -> set:

@@ -20,7 +20,8 @@ from sinklimit import (
     total_variation,
     vertex_profile,
 )
-from sinklimit.dynamics import _simulate_batch, _sink_lookup
+from sinklimit.dynamics import _VERTEX_TOLERANCE, _simulate_batch
+from sinklimit.scc import group_ids
 
 
 def exact_simplex_projection(v, mask):
@@ -44,7 +45,7 @@ def exact_simplex_projection(v, mask):
 def reference_simulate(game, x0, sinks, params, rng):
     """Independent re-implementation of the trajectory classification rule,
     driven by the public single-step function."""
-    lookup = _sink_lookup(game, sinks)
+    lookup = group_ids(game.num_profiles, sinks)
     x = x0
     streak_sink, streak_len, streak_close = -2, 0, False
     for _ in range(params.max_steps):
@@ -56,7 +57,7 @@ def reference_simulate(game, x0, sinks, params, rng):
             float(np.max(np.abs(xi - np.eye(len(xi))[a])))
             for xi, a in zip(x, nearest)
         )
-        close = dist < params.vertex_tolerance
+        close = dist < _VERTEX_TOLERANCE
         if s >= 0 and s == streak_sink:
             streak_len += 1
             streak_close = streak_close or close
@@ -241,8 +242,25 @@ def test_near_strict_equilibrium_attraction(fig2_game):
     x0 = tuple(np.array([0.025, 0.025, 0.95]) for _ in range(2))
     params = ReplicatorParams()
     rngs = [np.random.default_rng(np.random.SeedSequence([777, r])) for r in range(100)]
-    res = _simulate_batch(fig2_game, x0, _sink_lookup(fig2_game, sinks), params, rngs)
+    res = _simulate_batch(fig2_game, x0, group_ids(fig2_game.num_profiles, sinks), params, rngs)
     assert np.mean(res == 1) > 0.9
+
+
+def test_batch_width_does_not_change_runs(fig2_game):
+    # Each run draws only from its own generator and finished runs stop
+    # moving, so a run's outcome cannot depend on which others share its batch.
+    sinks = sink_equilibria(build_response_graph(fig2_game))
+    lookup = group_ids(fig2_game.num_profiles, sinks)
+    x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
+    params = ReplicatorParams(max_steps=2000)
+
+    def runs(width):
+        rngs = [np.random.default_rng(np.random.SeedSequence([5, r])) for r in range(width)]
+        return _simulate_batch(fig2_game, x0, lookup, params, rngs)
+
+    wide = runs(10)
+    assert wide[0] == 0 and wide[1] == -1  # one run stops early, one never does
+    np.testing.assert_array_equal(runs(4), wide[:4])
 
 
 # -- limit distribution estimation ----------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from sinklimit.scc import leaving, sink_components, strongly_connected_components
+from sinklimit.scc import group_ids, leaving, sink_components, strongly_connected_components
 
 
 def csr(adj) -> sp.csr_matrix:
@@ -30,3 +30,8 @@ def test_sink_components_ordering_and_members():
     sinks = sink_components(csr(adj))
     assert sinks == [[2, 3], [4]]
     assert leaving([[0, 1], [2, 3], [4], [5]], csr(adj)).tolist() == [True, False, False, True]
+
+
+def test_group_ids_marks_nodes_in_no_group():
+    assert group_ids(5, [[3], [0, 4]]).tolist() == [1, -1, -1, 0, 1]
+    assert group_ids(3, []).tolist() == [-1, -1, -1]

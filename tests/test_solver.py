@@ -224,6 +224,65 @@ def test_absorption_reports_stranded_state():
     P[1, 0] = 1.0
     with pytest.raises(SolverConvergenceError, match="state 0"):
         absorption_probabilities(absorbing_chain(P, [2]))
+    # 0 -> {1 <-> 2}, 3 absorbing: the closed class is named, not its feeder.
+    P = np.zeros((4, 4))
+    P[0, 1] = P[1, 2] = P[2, 1] = 1.0
+    with pytest.raises(SolverConvergenceError, match="transient state 1 has no path"):
+        absorption_probabilities(absorbing_chain(P, [3]))
+
+
+def random_sparse_chain(rng) -> tuple:
+    """Dense transition matrix and absorbing states of a small sparse chain.
+
+    Some transient states only loop on themselves (a row with no entries at
+    all is not stochastic) and, half the time, a closed class of transient
+    states is fed from outside."""
+    n = int(rng.integers(3, 13))
+    absorbing = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    transient = np.setdiff1d(np.arange(n), absorbing)
+    P = np.zeros((n, n))
+    for i in transient:
+        if rng.random() < 0.15:
+            P[i, i] = 1.0
+        else:
+            targets = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+            P[i, targets] = rng.random(targets.size) + 0.1
+    if transient.size >= 3 and rng.random() < 0.5:
+        closed = rng.choice(transient, size=int(rng.integers(2, 4)), replace=False)
+        P[closed] = 0.0
+        P[closed, np.roll(closed, 1)] = 1.0
+        outside = np.setdiff1d(transient, closed)
+        if outside.size:
+            P[rng.choice(outside), closed[0]] = 1.0
+    P[absorbing] = 0.0
+    P[transient] /= P[transient].sum(axis=1, keepdims=True)
+    return P, absorbing
+
+
+def test_stranded_check_matches_dense_closure():
+    rng = np.random.default_rng(17)
+    raised = 0
+    for _ in range(400):
+        P, absorbing = random_sparse_chain(rng)
+        n = len(P)
+        reach = (P > 0) | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        mask = np.zeros(n, dtype=bool)
+        mask[absorbing] = True
+        stranded = ~mask & ~reach[:, mask].any(axis=1)
+        # A state in a closed class can return from everywhere it reaches.
+        closed = np.array([np.all(reach[reach[s], s]) for s in range(n)])
+        if stranded.any():
+            raised += 1
+            name = np.flatnonzero(stranded & closed)[0]
+            with pytest.raises(SolverConvergenceError,
+                               match=f"transient state {name} has no path"):
+                absorption_probabilities(absorbing_chain(P, absorbing))
+        else:
+            res = absorption_probabilities(absorbing_chain(P, absorbing))
+            np.testing.assert_allclose(res.hitting.sum(axis=1), 1.0, atol=1e-9)
+    assert 50 < raised < 350
 
 
 def test_absorption_no_transient_states():
@@ -236,6 +295,11 @@ def test_stochastic_matrix_validation():
         absorbing_chain([[0.5, 0.4], [0, 0]], [1])
     with pytest.raises(ValueError, match="negative"):
         absorbing_chain([[-0.5, 1.5], [0, 0]], [1])
+    # A stored zero is an edge to the sink search, so absorbing rows hold none.
+    P = sp.csr_matrix((np.array([1.0, 0.0]), ([0, 1], [1, 0])), shape=(2, 2))
+    assert P.nnz == 2
+    with pytest.raises(ValueError, match="absorbing row"):
+        StochasticMatrix(P, np.array([False, True]))
 
 
 def test_stochastic_matrix_rejects_nan_rows():
