@@ -201,24 +201,34 @@ def cmd_export_dot(args) -> int:
     game = load_game(args.game)
     hitting = None
     if args.hit:
-        hitting = _load_hitting(args.hit, game)
+        hitting = _load_hitting(args.hit, game, args.tie_tolerance)
     text = export_dot(game, hitting, args.tie_tolerance)
     with _output(args) as fh:
         fh.write(text)
     return 0
 
 
-def _load_hitting(path, game) -> epsmc.HittingMatrix:
+def _load_hitting(path, game, tie_tolerance: float) -> epsmc.HittingMatrix:
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"hit: cannot read hitting matrix {path}: {exc}") from exc
+    # Columns are read by label and drawn by sink index: both must be the ones
+    # `hit` writes, in its order, or a color would stand for another sink.
+    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
+    labels = [_sink_label(j, s, game) for j, s in enumerate(sinks)]
     n = game.num_profiles
     try:
-        sinks = obj["sinks"]
-        members = [pid for s in sinks for pid in s]
-        labels = obj["sink_labels"]
+        if obj["sinks"] != sinks:
+            raise GameFormatError(
+                f"hit: sinks must be the game's sink equilibria at tie tolerance {tie_tolerance}"
+                ", in the order `hit` writes them"
+            )
+        if obj["sink_labels"] != labels:
+            raise GameFormatError(
+                "hit: sink_labels must be the labels `hit` writes, one per sink"
+            )
         rows = obj["rows"]
         probs = np.zeros((n, len(sinks)))
         for pid in range(n):
@@ -228,10 +238,6 @@ def _load_hitting(path, game) -> epsmc.HittingMatrix:
             probs[pid] = row
     except (KeyError, TypeError) as exc:
         raise GameFormatError(f"hit: malformed hitting matrix file ({exc})") from exc
-    if not (all(sinks) and all(type(pid) is int and 0 <= pid < n for pid in members)):
-        raise GameFormatError(f"hit: sinks must be non-empty lists of profile ids in 0..{n - 1}")
-    if len(set(members)) != len(members):
-        raise GameFormatError("hit: sinks must be disjoint")
     # NaN fails both comparisons.
     bad = np.flatnonzero(~(np.all(probs >= 0, axis=1) & (np.abs(probs.sum(axis=1) - 1) <= 1e-9)))
     if bad.size:

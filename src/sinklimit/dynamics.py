@@ -7,9 +7,12 @@ so supports never grow.  Trajectories are classified to a sink once the
 nearest pure profile stays inside that sink for a window of consecutive
 steps and the state passes close to a vertex at least once in the window.
 
-Replicate runs draw their noise from per-run generators seeded by a
-splittable (root, sample, run) scheme, so results are bit-identical for a
-given root seed.
+The estimator steps every run of a checkpoint block (samples times runs
+per sample) as one batch, and a run leaves the batch as soon as it is
+classified or frozen.  Each run draws its noise from its own generator,
+seeded by a splittable (root, sample, run) scheme, so a run's trajectory
+does not depend on which runs share its batch and results are
+bit-identical for a given root seed.
 """
 
 import math
@@ -21,7 +24,7 @@ from .epsmc import limit_hitting_probabilities
 from .game import Game, build_reduced_response_graph, decode_profile, sink_equilibria
 from .scc import group_ids
 
-_NOISE_BLOCK = 256
+_NOISE_BLOCK = 64
 _VERTEX_TOLERANCE = 0.05
 
 
@@ -298,60 +301,66 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
 
 def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParams,
                     rngs) -> np.ndarray:
-    """Run one replicator trajectory per generator, all starting at `x0`.
+    """Run one replicator trajectory per generator.
 
-    Returns the sink index per run, -1 when not classified within
-    `params.max_steps`.
+    `x0[i]` is player i's start: one vector shared by every run, or one row
+    per run.  Runs leave the batch once classified or frozen, so each step
+    costs only the runs still moving.  Returns the sink index per run, -1
+    when not classified within `params.max_steps`.
     """
     runs = len(rngs)
-    X = [np.tile(np.asarray(x0[i], dtype=float), (runs, 1))
-         for i in range(game.num_players)]
+    X = [np.array(np.broadcast_to(np.asarray(x0[i], dtype=float), (runs, s)))
+         for i, s in enumerate(game.strategy_counts)]
     strides = np.array(game.strides)
-    coords = sum(game.strategy_counts)
-    active = np.ones(runs, dtype=bool)
-    streak_sink = np.full(runs, -2)
+    live = np.arange(runs)
+    streak_sink = np.full(runs, -1)
     streak_len = np.zeros(runs, dtype=int)
     streak_close = np.zeros(runs, dtype=bool)
     result = np.full(runs, -1)
-    block = None
+    # Run j's noise rows sit in block[j]; each fill continues its own stream,
+    # so the block length never changes a run's noise.
+    block = np.empty((runs, _NOISE_BLOCK, sum(game.strategy_counts)))
     pos = _NOISE_BLOCK
     for _ in range(params.max_steps):
-        if not active.any():
+        if live.size == 0:
             break
         if pos == _NOISE_BLOCK:
-            block = np.stack([rng.standard_normal((_NOISE_BLOCK, coords)) for rng in rngs])
+            for j, r in enumerate(live.tolist()):
+                rngs[r].standard_normal(out=block[j])
             pos = 0
-        noise_row = block[:, pos, :]
+        X = _step_batch(game, X, params, block[:, pos, :])
         pos += 1
-        new = _step_batch(game, X, params, noise_row)
-        for i in range(game.num_players):
-            X[i] = np.where(active[:, None], new[i], X[i])
-        nearest = np.zeros(runs, dtype=int)
-        dist = np.zeros(runs)
-        frozen = np.ones(runs, dtype=bool)
+        m = live.size
+        nearest = np.zeros(m, dtype=int)
+        dist = np.zeros(m)
+        frozen = np.ones(m, dtype=bool)
         for i in range(game.num_players):
             arg = np.argmax(X[i], axis=1)
             nearest += arg * strides[i]
             tmp = X[i].copy()
-            tmp[np.arange(runs), arg] -= 1.0
+            tmp[np.arange(m), arg] -= 1.0
             dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
             frozen &= (X[i] > 0).sum(axis=1) == 1
         s = sink_of[nearest]
-        close = dist < _VERTEX_TOLERANCE
-        same = (s == streak_sink) & (s >= 0)
-        streak_len = np.where(same, streak_len + 1, np.where(s >= 0, 1, 0))
-        streak_close = np.where(same, streak_close | close, (s >= 0) & close)
-        streak_sink = np.where(s >= 0, s, -2)
-        done = active & (streak_len >= params.window) & streak_close
-        result[done] = streak_sink[done]
-        active &= ~done
+        in_sink = s >= 0
+        same = in_sink & (s == streak_sink)
+        streak_len = np.where(same, streak_len + 1, in_sink)
+        streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
+        streak_sink = s
         # A run whose supports are all singletons can never move again: the
         # window rule on its constant trajectory would classify it to the
         # nearest profile's sink (or never); settle it now instead of
-        # grinding out the remaining steps.
-        stuck = active & frozen
-        result[stuck] = np.where(s[stuck] >= 0, s[stuck], -1)
-        active &= ~stuck
+        # grinding out the remaining steps.  Either way a settled run ends
+        # at `s`.
+        settled = ((streak_len >= params.window) & streak_close) | frozen
+        result[live[settled]] = s[settled]
+        keep = ~settled
+        if not keep.all():
+            live = live[keep]
+            X = [xi[keep] for xi in X]
+            streak_sink, streak_len, streak_close = (
+                streak_sink[keep], streak_len[keep], streak_close[keep])
+            block = block[keep]
     return result
 
 
@@ -371,11 +380,13 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
 
     Draws start profiles from `prior`, runs `runs_per_sample` independent
     noisy-replicator instances per draw, and accumulates the running average
-    of the per-run outcomes.  Stops when the total-variation distance between
-    the running averages at successive checkpoints (every `checkpoint_every`
-    samples) drops below `tv_tol`, or at the `max_samples` budget.  The sinks
-    are those of the response graph at `tie_tolerance`.  Deterministic given
-    `params.rng_seed`.
+    of the per-run outcomes.  The runs of each block of `checkpoint_every`
+    samples are stepped as one batch, which a run leaves once it is
+    classified or frozen.  Stops when the total-variation distance between
+    the running averages at successive checkpoints drops below `tv_tol`, or
+    at the `max_samples` budget.  The sinks are those of the response graph
+    at `tie_tolerance`.  Deterministic given `params.rng_seed`, and the same
+    as stepping each sample's runs on their own.
     """
     if not 0 < tv_tol < math.inf:
         raise ValueError("tv_tol must be finite and positive")
@@ -386,25 +397,20 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     k = len(sinks)
     root = int(params.rng_seed)
     counts = np.zeros(k + 1)
-
-    def one_sample(s_idx: int) -> np.ndarray:
-        prior_rng = np.random.default_rng(np.random.SeedSequence([root, s_idx]))
-        x0 = prior.sample(game, prior_rng)
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
-            for r in range(runs_per_sample)
-        ]
-        return _simulate_batch(game, x0, lookup, params, rngs)
-
     checkpoints = []
     tv_trace = []
     converged = False
     samples = 0
     while samples < max_samples and not converged:
         block = range(samples, min(samples + checkpoint_every, max_samples))
-        for s_idx in block:
-            res = one_sample(s_idx)
-            counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
+        starts = [prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))
+                  for s_idx in block]
+        x0 = [np.repeat([x[i] for x in starts], runs_per_sample, axis=0)
+              for i in range(game.num_players)]
+        rngs = [np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
+                for s_idx in block for r in range(runs_per_sample)]
+        res = _simulate_batch(game, x0, lookup, params, rngs)
+        counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
         samples += len(block)
         dist = counts / counts.sum()
         if checkpoints:

@@ -335,7 +335,12 @@ def test_export_dot_rejects_hit_rows_that_are_not_numbers(tmp_path, capsys, fig2
                    "holds a non-number\n")
 
 
-@pytest.mark.parametrize("sinks, message", [
+SINKS_MESSAGE = ("INPUT_ERROR: hit: sinks must be the game's sink equilibria at tie tolerance "
+                 "0.0, in the order `hit` writes them\n")
+LABELS_MESSAGE = "INPUT_ERROR: hit: sink_labels must be the labels `hit` writes, one per sink\n"
+
+
+@pytest.mark.parametrize("sinks, defect", [
     ([[0, 1, 3, 4], []], "non-empty lists"),
     ([[0, 1, 3, 4], 8], "malformed"),
     ([[0, 1, 3, 4], "8"], "in 0..8"),
@@ -345,7 +350,7 @@ def test_export_dot_rejects_hit_rows_that_are_not_numbers(tmp_path, capsys, fig2
     ([[0, 1, 3, 4], [True]], "in 0..8"),
     ([[0, 1, 3, 4], [4]], "disjoint"),
 ])
-def test_export_dot_rejects_bad_hit_sinks(tmp_path, capsys, fig2_game, sinks, message):
+def test_export_dot_rejects_bad_hit_sinks(tmp_path, capsys, fig2_game, sinks, defect):
     gpath = write_game(tmp_path, fig2_game)
     hit_path = tmp_path / "hit.json"
     assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
@@ -355,7 +360,41 @@ def test_export_dot_rejects_bad_hit_sinks(tmp_path, capsys, fig2_game, sinks, me
     hit_path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
     assert code == 2 and out == ""
-    assert err.startswith("INPUT_ERROR: hit: ") and message in err
+    assert err == SINKS_MESSAGE
+
+
+def test_export_dot_rejects_hit_labels_that_do_not_match_sinks(tmp_path, capsys, fig2_game):
+    gpath = write_game(tmp_path, fig2_game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    payload = json.loads(hit_path.read_text())
+    payload["sink_labels"].append(payload["sink_labels"][0])
+    hit_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert code == 2 and out == ""
+    assert err == LABELS_MESSAGE
+
+
+@pytest.mark.parametrize("edit, message", [
+    # profile 7 is not a sink: it must not be colored as one
+    ({"sinks": [[7], [8]]}, SINKS_MESSAGE),
+    # each sink would take the other's color while the pies keep theirs
+    ({"sinks": [[8], [3]]}, SINKS_MESSAGE),
+    ({"sink_labels": ["sink_1 {(3,3)}", "sink_0 {(1,2)}"]}, LABELS_MESSAGE),
+], ids=["non-sink", "sinks-swapped", "labels-swapped"])
+def test_export_dot_rejects_hit_sinks_that_are_not_the_games(tmp_path, capsys, edit, message):
+    game = random_game(12, 2, (3, 3), mode="integer")
+    gpath = write_game(tmp_path, game)
+    hit_path = tmp_path / "hit.json"
+    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+    payload = json.loads(hit_path.read_text())
+    assert payload["sinks"] == [[3], [8]]
+    assert payload["sink_labels"] == ["sink_0 {(1,2)}", "sink_1 {(3,3)}"]
+    payload.update(edit)
+    hit_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert code == 2 and out == ""
+    assert err == message
 
 
 def response_graph_edge_lines(game) -> set:

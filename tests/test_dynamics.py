@@ -7,6 +7,7 @@ from sinklimit import (
     Prior,
     ReplicatorParams,
     best_response_vector,
+    build_reduced_response_graph,
     build_response_graph,
     decode_profile,
     estimate_limit_distribution,
@@ -20,6 +21,7 @@ from sinklimit import (
     total_variation,
     vertex_profile,
 )
+import sinklimit.dynamics
 from sinklimit.dynamics import _VERTEX_TOLERANCE, _simulate_batch
 from sinklimit.scc import group_ids
 
@@ -263,6 +265,60 @@ def test_batch_width_does_not_change_runs(fig2_game):
     np.testing.assert_array_equal(runs(4), wide[:4])
 
 
+def test_noise_block_length_does_not_change_runs(fig2_game, monkeypatch):
+    # Each run refills its block rows from its own stream, so the block length
+    # only decides when the draws happen, not what they are.
+    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(build_response_graph(fig2_game)))
+    x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
+    params = ReplicatorParams(max_steps=2000)
+
+    def runs():
+        rngs = [np.random.default_rng(np.random.SeedSequence([8, r])) for r in range(10)]
+        return _simulate_batch(fig2_game, x0, lookup, params, rngs)
+
+    default = runs()
+    assert len(set(default.tolist())) > 1
+    for length in (7, 256):
+        monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", length)
+        np.testing.assert_array_equal(runs(), default)
+
+
+def test_mixed_start_rows_match_runs_alone():
+    game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
+    lookup = group_ids(game.num_profiles, sink_equilibria(build_response_graph(game)))
+    params = ReplicatorParams(max_steps=1500)
+    starts = [tuple(np.random.default_rng(seed).dirichlet(np.ones(s))
+                    for s in game.strategy_counts) for seed in range(6)]
+    starts.append(vertex_profile(game, 5))  # frozen from the first step
+
+    def rng(r):
+        return np.random.default_rng(np.random.SeedSequence([3, r]))
+
+    x0 = [np.array([x[i] for x in starts]) for i in range(game.num_players)]
+    batch = _simulate_batch(game, x0, lookup, params, [rng(r) for r in range(len(starts))])
+    alone = [_simulate_batch(game, x, lookup, params, [rng(r)])[0] for r, x in enumerate(starts)]
+    np.testing.assert_array_equal(batch, alone)
+    assert set(batch.tolist()) == {-1, 0, 1}
+
+
+def test_checkpoint_block_is_one_shrinking_batch(fig2_game, monkeypatch):
+    rows = []
+    step = sinklimit.dynamics._step_batch
+
+    def counting_step(game, X, params, noise_row):
+        rows.append(len(X[0]))
+        return step(game, X, params, noise_row)
+
+    monkeypatch.setattr(sinklimit.dynamics, "_step_batch", counting_step)
+    estimate_limit_distribution(
+        fig2_game, Prior("uniform"), ReplicatorParams(rng_seed=4, max_steps=3000),
+        runs_per_sample=5, max_samples=3, checkpoint_every=3,
+    )
+    assert rows[0] == 3 * 5
+    assert all(b <= a for a, b in zip(rows, rows[1:]))
+    assert rows[-1] < rows[0]
+
+
 # -- limit distribution estimation ----------------------------------------------------
 
 
@@ -352,6 +408,79 @@ def test_estimate_fig2_uniform_smoke(fig2_game):
     )
     assert dist.sink_probabilities.sum() >= 0.95
     assert dist.sink_probabilities[0] > dist.sink_probabilities[1]
+
+
+def per_sample_estimate(game, prior, params, tv_tol=0.01, *, runs_per_sample=40,
+                        max_samples=512, checkpoint_every=8):
+    """The estimator as one `_simulate_batch` call per prior sample, with the
+    same seeds and stopping rule."""
+    sinks = sink_equilibria(build_reduced_response_graph(game))
+    lookup = group_ids(game.num_profiles, sinks)
+    k = len(sinks)
+    root = params.rng_seed
+    counts = np.zeros(k + 1)
+    checkpoints, tv_trace = [], []
+    converged = False
+    samples = 0
+    while samples < max_samples and not converged:
+        block = range(samples, min(samples + checkpoint_every, max_samples))
+        for s_idx in block:
+            x0 = prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))
+            rngs = [np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
+                    for r in range(runs_per_sample)]
+            res = _simulate_batch(game, x0, lookup, params, rngs)
+            counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
+        samples += len(block)
+        dist = counts / counts.sum()
+        if checkpoints:
+            tv_trace.append(total_variation(dist, checkpoints[-1]))
+            converged = tv_trace[-1] < tv_tol
+        checkpoints.append(dist)
+    final = checkpoints[-1]
+    return dict(
+        sink_probabilities=final[:k].tobytes(),
+        samples=samples,
+        non_converged=int(counts[k]),
+        converged=converged,
+        tv_trace=tv_trace,
+        tv_to_final=[total_variation(c, final) for c in checkpoints],
+    )
+
+
+@pytest.mark.parametrize("case", ["fig2", "unclassified", "pure", "ragged"])
+def test_wide_batch_equals_per_sample_batches(fig2_game, fig3_game, case):
+    if case == "fig2":
+        game, prior = fig2_game, Prior("uniform")
+        params = ReplicatorParams(rng_seed=2024)
+        kwargs = dict(tv_tol=0.02, runs_per_sample=5, max_samples=4, checkpoint_every=2)
+    elif case == "unclassified":
+        game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
+        prior = Prior("dirichlet", alpha=0.5)
+        params = ReplicatorParams(rng_seed=7, max_steps=120)
+        kwargs = dict(runs_per_sample=6, max_samples=8, checkpoint_every=4)
+    elif case == "pure":
+        game = random_game(23, 2, (3, 3))
+        prior = Prior.pure(np.full(9, 1 / 9))
+        params = ReplicatorParams(rng_seed=99)
+        kwargs = dict(runs_per_sample=8, max_samples=16)
+    else:
+        game, prior = fig3_game, Prior("uniform")
+        params = ReplicatorParams(rng_seed=11, max_steps=2000)
+        kwargs = dict(tv_tol=1e-9, runs_per_sample=4, max_samples=7, checkpoint_every=3)
+    got = estimate_limit_distribution(game, prior, params, **kwargs)
+    want = per_sample_estimate(game, prior, params, **kwargs)
+    assert dict(
+        sink_probabilities=got.sink_probabilities.tobytes(),
+        samples=got.samples,
+        non_converged=got.non_converged,
+        converged=got.converged,
+        tv_trace=got.tv_trace,
+        tv_to_final=got.tv_to_final,
+    ) == want
+    if case == "unclassified":
+        assert got.non_converged > 0
+    if case == "ragged":
+        assert got.samples == 7 and len(got.tv_trace) == 2
 
 
 # -- exact path -------------------------------------------------------------------
