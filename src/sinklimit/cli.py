@@ -264,14 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, game_arg=True):
+    def common(p, game_arg=True, seed=False):
         if game_arg:
             p.add_argument("game", help="game JSON file")
+            p.add_argument("--tie-tolerance", type=float, default=0.0,
+                           help="utility gap treated as a tie (default 0: exact equality)")
         p.add_argument("-o", "--output", help="output file (default stdout)")
-        p.add_argument("--tie-tolerance", type=float, default=0.0,
-                       help="utility gap treated as a tie (default 0: exact equality)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed; required for stochastic commands")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="root seed; required for stochastic commands")
 
     p = sub.add_parser("sinks", help="list the sink equilibria")
     common(p)
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="limit distribution for a prior (exact for pure priors"
             + (", simulation forced)" if name == "simulate" else ", else simulated)"),
         )
-        common(p)
+        common(p, seed=True)
         p.add_argument("prior", help="'uniform', 'dirichlet:<alpha>', or 'pure:<weights file>'")
         p.add_argument("--eta", type=float, default=0.01, help="step length")
         p.add_argument("--delta", type=float, default=0.005, help="noise std")
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("random-game", help="generate a reproducible random game")
-    common(p, game_arg=False)
+    common(p, game_arg=False, seed=True)
     p.add_argument("--players", "-p", type=int, required=True)
     p.add_argument("--strategies", "-s", required=True,
                    help="comma-separated per-player strategy counts, e.g. 3,3")

@@ -185,14 +185,12 @@ def _expected_utilities_batch(game: Game, X, player: int) -> np.ndarray:
     runs = X[0].shape[0]
     if p == 1:
         return np.tile(game.utilities[0], (runs, 1))
-    if p > 25:
-        raise ValueError("more than 25 players is not supported")
-    letters = [chr(ord("a") + j) for j in range(p)]
-    tensor_subs = "".join(letters[j] for j in reversed(range(p)))
-    parts = [tensor_subs] + ["z" + letters[j] for j in range(p) if j != player]
-    expr = ",".join(parts) + "->z" + letters[player]
-    operands = [game.tensor(player)] + [X[j] for j in range(p) if j != player]
-    return np.einsum(expr, *operands)
+    # Sublist form: label j is player j's strategy axis, label p the run axis.
+    operands = [game.tensor(player), list(range(p - 1, -1, -1))]
+    for j in range(p):
+        if j != player:
+            operands += [X[j], [p, j]]
+    return np.einsum(*operands, [p, player])
 
 
 def best_response_vector(game: Game, x, player: int) -> np.ndarray:

@@ -211,8 +211,8 @@ def rsccs(chain: EpsilonMC) -> SccPartition:
     edge and no outgoing regular edge; with neither it is a sink.
     """
     live = np.array(chain.live_nodes())
+    # `live` ascends, so the components keep their smallest-member order.
     comps = [live[c].tolist() for c in strongly_connected_components(chain.reg[live][:, live])]
-    comps.sort(key=lambda c: c[0])
     labels = [
         "ordinary" if reg_out else "pseudosink" if eps_out else "sink"
         for reg_out, eps_out in zip(leaving(comps, chain.reg), leaving(comps, chain.eps))

@@ -1,67 +1,66 @@
-"""Strongly connected components (iterative Tarjan) and sink detection.
+"""Strongly connected components (Pearce's one-rank search) and sink detection.
 
 Every function takes a square CSR matrix whose nonzero pattern is the edge
-set; node ids are the row indices.
+set; node ids are the row indices.  Components come as lists of ascending
+members, ordered by smallest member.
 """
 
 import numpy as np
 
 
 def strongly_connected_components(matrix) -> list[list[int]]:
-    """Tarjan's algorithm, iterative so deep chains cannot overflow the stack.
+    """Pearce's algorithm (IPL 2016), iterative so deep chains cannot
+    overflow the stack.
 
-    Returns the list of components; each component is sorted ascending.
+    One `rank` per node: -1 until visited, then its visit rank, lowered to the
+    smallest rank it reaches among open nodes, and finally its component's
+    number, counted down from n - 1.  Those numbers stay above the rank of
+    every open node, so strict `<` comparisons alone skip finished nodes.
     """
     indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
     n = len(indptr) - 1
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    rank = [-1] * n
+    stack: list[int] = []  # visited nodes whose component is still open
+    opened = 0  # open nodes, which is also the next visit rank
+    number = n
 
     for root in range(n):
-        if index[root] >= 0:
+        if rank[root] >= 0:
             continue
-        # Each work item is (node, iterator over its successors).
-        work = [(root, iter(indices[indptr[root] : indptr[root + 1]]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        # Each work item is (node, its visit rank, iterator over its successors).
+        rank[root] = opened
+        work = [(root, opened, iter(indices[indptr[root] : indptr[root + 1]]))]
+        opened += 1
         while work:
-            v, it = work[-1]
-            advanced = False
+            v, r, it = work[-1]
             for w in it:
-                if index[w] < 0:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(indices[indptr[w] : indptr[w + 1]])))
-                    advanced = True
+                if rank[w] < 0:
+                    rank[w] = opened
+                    work.append((w, opened, iter(indices[indptr[w] : indptr[w + 1]])))
+                    opened += 1
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
-    return components
+                if rank[w] < rank[v]:
+                    rank[v] = rank[w]
+            else:
+                work.pop()
+                if rank[v] == r:  # v is its component's root: close the component
+                    number -= 1
+                    rank[v] = number
+                    while stack and rank[stack[-1]] >= r:
+                        rank[stack.pop()] = number
+                    opened = r  # every node opened since v is finished now
+                else:
+                    stack.append(v)
+                    parent = work[-1][0]
+                    if rank[v] < rank[parent]:
+                        rank[parent] = rank[v]
+
+    ranks = np.array(rank, dtype=np.int64)
+    nodes = np.argsort(ranks, kind="stable")  # component by component, members ascending
+    starts = np.flatnonzero(np.diff(ranks[nodes], prepend=-1))
+    bounds, members = np.append(starts, n).tolist(), nodes.tolist()
+    by_smallest = np.argsort(nodes[starts]).tolist()
+    return [members[bounds[i] : bounds[i + 1]] for i in by_smallest]
 
 
 def group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
@@ -82,9 +81,6 @@ def leaving(components: list[list[int]], matrix) -> np.ndarray:
 
 
 def sink_components(matrix) -> list[list[int]]:
-    """Components of the condensation with no outgoing edge, sorted by
-    smallest member."""
+    """Components of the condensation with no outgoing edge."""
     comps = strongly_connected_components(matrix)
-    sinks = [comp for comp, out in zip(comps, leaving(comps, matrix)) if not out]
-    sinks.sort(key=lambda c: c[0])
-    return sinks
+    return [comp for comp, out in zip(comps, leaving(comps, matrix)) if not out]

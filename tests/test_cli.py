@@ -503,6 +503,18 @@ def test_random_game_requires_seed(capsys):
     assert err.startswith("INPUT_ERROR: seed")
 
 
+@pytest.mark.parametrize("argv", [
+    ["hit", "GAME", "--seed", "1"],
+    ["random-game", "--seed", "1", "-p", "2", "-s", "2,2", "--tie-tolerance", "1"],
+])
+def test_flags_only_on_commands_that_read_them(tmp_path, capsys, fig3_game, argv):
+    argv = [write_game(tmp_path, fig3_game) if a == "GAME" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_malformed_game_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"players": 2, "strategies": [2, 2]}')

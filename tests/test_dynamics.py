@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sinklimit import (
+    Game,
     Prior,
     ReplicatorParams,
     best_response_vector,
@@ -22,7 +23,7 @@ from sinklimit import (
     vertex_profile,
 )
 import sinklimit.dynamics
-from sinklimit.dynamics import _VERTEX_TOLERANCE, _simulate_batch
+from sinklimit.dynamics import _VERTEX_TOLERANCE, _expected_utilities_batch, _simulate_batch
 from sinklimit.scc import group_ids
 
 
@@ -95,6 +96,32 @@ def test_best_response_respects_support(fig2_game):
     x = (np.array([0.0, 0.0, 1.0]), np.full(3, 1 / 3))
     br = best_response_vector(fig2_game, x, 0)
     np.testing.assert_array_equal(br, [0, 0, 1])
+
+
+def test_many_player_game_matches_its_two_player_core():
+    """25 one-strategy players between the two real ones change nothing."""
+    core = random_game(8, 2, (3, 3))
+    counts = (3,) + (1,) * 25 + (3,)
+    wide = Game(counts, (core.utilities[0],) + (np.zeros(9),) * 25 + (core.utilities[1],))
+    rng = np.random.default_rng(2)
+    x0, x1 = rng.dirichlet(np.ones(3), size=5), rng.dirichlet(np.ones(3), size=5)
+    X = [x0] + [np.ones((5, 1))] * 25 + [x1]
+    for player, core_player in ((0, 0), (26, 1)):
+        np.testing.assert_allclose(  # the einsum may sum in another order
+            _expected_utilities_batch(wide, X, player),
+            _expected_utilities_batch(core, [x0, x1], core_player),
+            rtol=1e-14,
+        )
+        np.testing.assert_array_equal(
+            best_response_vector(wide, [row[0] for row in X], player),
+            best_response_vector(core, (x0[0], x1[0]), core_player),
+        )
+
+
+def test_expected_utilities_reject_52_players():
+    game = Game((2,) + (1,) * 51, (np.arange(2.0),) * 52)
+    with pytest.raises(ValueError):
+        _expected_utilities_batch(game, [np.full((1, s), 1.0 / s) for s in game.strategy_counts], 0)
 
 
 # -- simplex projection ----------------------------------------------------------

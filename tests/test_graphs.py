@@ -25,6 +25,56 @@ def test_tarjan_deep_chain_is_iterative():
     assert len(comps) == n
 
 
+def random_digraph(rng, n) -> sp.csr_matrix:
+    """CSR digraph with self-loops, isolated nodes and repeated, unsorted
+    column entries kept as stored."""
+    m = int(rng.integers(0, 3 * n + 1))
+    rows = np.sort(rng.integers(0, n, m))
+    cols = rng.integers(0, n, m)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((np.ones(m), cols, indptr), shape=(n, n))
+
+
+def closure(matrix) -> np.ndarray:
+    """Dense reflexive-transitive closure: reach[u, v] iff v is reachable from u."""
+    n = matrix.shape[0]
+    reach = np.eye(n, dtype=bool) | (matrix.toarray() != 0)
+    while True:
+        nxt = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
+        if (nxt == reach).all():
+            return reach
+        reach = nxt
+
+
+def brute_components(reach) -> list[list[int]]:
+    """Mutual-reachability classes, members ascending, by smallest member."""
+    mutual = reach & reach.T
+    comps, seen = [], set()
+    for u in range(len(reach)):
+        if u not in seen:
+            comps.append(np.flatnonzero(mutual[u]).tolist())
+            seen.update(comps[-1])
+    return comps
+
+
+def test_components_and_sinks_match_brute_force_closure():
+    rng = np.random.default_rng(2016)
+    for _ in range(300):
+        matrix = random_digraph(rng, int(rng.integers(0, 31)))
+        reach = closure(matrix)
+        want = brute_components(reach)
+        assert strongly_connected_components(matrix) == want
+        closed = [c for c in want if reach[c[0]].sum() == len(c)]
+        assert sink_components(matrix) == closed
+
+
+def test_long_cycle_is_one_component():
+    n = 50_000
+    cycle = sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    assert strongly_connected_components(cycle) == [list(range(n))]
+    assert sink_components(cycle) == [list(range(n))]
+
+
 def test_sink_components_ordering_and_members():
     adj = {0: [1], 1: [0, 2], 2: [3], 3: [2], 4: [], 5: [4]}
     sinks = sink_components(csr(adj))
