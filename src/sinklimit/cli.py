@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dynamics, epsmc
 from .dot import export_dot
-from .errors import GameFormatError, SolverConvergenceError
+from .errors import ContractViolation, GameFormatError, SolverConvergenceError
 from .game import (
     SCHEMA_VERSION,
     build_reduced_response_graph,
@@ -47,10 +47,33 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit_json(args, payload: dict) -> None:
-    # Streamed: with `indent`, `json.dumps` holds every chunk until it joins them.
+def _emit_json(args, payload: dict, rows=None) -> None:
+    """Write `payload` as JSON indented by 2, then a newline.
+
+    `rows`, a (row keys, column keys, matrix) triple, is written after the
+    payload's members as "rows": one object per matrix row, mapping column
+    keys to its entries.  The text is what `json.dump` writes for that nested
+    dict, built a row at a time: with `indent`, json's encoder is pure Python
+    and takes several seconds on large `hit` outputs.  The payload and both
+    key lists must be non-empty.
+    """
+    if rows is not None:
+        row_keys, col_keys, matrix = rows
+        if not np.all(np.isfinite(matrix)):
+            raise ContractViolation("rows: non-finite entry, which JSON cannot hold")
+        encode = json.encoder.encode_basestring_ascii
+        col_keys = ["\n      " + encode(key) + ": " for key in col_keys]
     with _output(args) as fh:
-        json.dump(payload, fh, indent=2)
+        if rows is None:
+            # Streamed: with `indent`, `json.dumps` holds every chunk until it joins them.
+            json.dump(payload, fh, indent=2)
+        else:
+            fh.write(json.dumps(payload, indent=2)[:-2] + ',\n  "rows": {')
+            for i, (key, row) in enumerate(zip(row_keys, matrix)):
+                # float.__repr__ is json's text for every finite float.
+                cells = ",".join(map(str.__add__, col_keys, map(float.__repr__, row.tolist())))
+                fh.write(f'{"," if i else ""}\n    {encode(key)}: {{{cells}\n    }}')
+            fh.write("\n  }\n}")
         fh.write("\n")
 
 
@@ -98,10 +121,6 @@ def cmd_hit(args) -> int:
         hit = epsmc.limit_hitting_probabilities(game, args.tie_tolerance)
         method = "limit"
     labels = [_sink_label(j, s, game) for j, s in enumerate(hit.sinks)]
-    rows = {
-        profile_label(pid, game): dict(zip(labels, row))
-        for pid, row in enumerate(hit.probabilities.tolist())
-    }
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "hit",
@@ -110,9 +129,9 @@ def cmd_hit(args) -> int:
         "sink_labels": labels,
         "rounds": hit.rounds,
         "order_trace": hit.order_trace,
-        "rows": rows,
     }
-    _emit_json(args, payload)
+    profiles = [profile_label(pid, game) for pid in range(game.num_profiles)]
+    _emit_json(args, payload, rows=(profiles, labels, hit.probabilities))
     return 0
 
 

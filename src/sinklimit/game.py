@@ -52,10 +52,17 @@ class Game:
             arr = arr.copy()
             arr.setflags(write=False)
             tensors.append(arr)
-        # Bounds every profile's total gain; Python floats overflow without warnings.
-        gain_bound = sum((s - 1) * (float(t.max()) - float(t.min()))
-                         for s, t in zip(counts, tensors) if s > 1)
-        if not math.isfinite(gain_bound):
+        # Each profile's total gain, the sum `build_cmc` normalises by at tie
+        # tolerance 0; one overflowing payoff difference makes it inf too.
+        total_gain = np.zeros(n)
+        stride = 1
+        with np.errstate(over="ignore"):
+            for s, t in zip(counts, tensors):
+                vals = t.reshape(-1, s, stride)  # vals[., a, .]: strategy a of this player
+                gain = vals[:, None, :, :] - vals[:, :, None, :]  # [., a, b, .]: b minus a
+                total_gain += np.maximum(gain, 0.0).sum(axis=2).reshape(n)
+                stride *= s
+        if not np.all(np.isfinite(total_gain)):
             raise GameFormatError("utilities: payoff differences overflow a float")
         object.__setattr__(self, "strategy_counts", counts)
         object.__setattr__(self, "utilities", tuple(tensors))

@@ -90,8 +90,9 @@ def stationary_distribution(chain) -> np.ndarray:
         with its last equation replaced by ``sum(pi) = 1``.  Being a
         direct solve, it is correct for periodic chains, where power
         iteration on the raw matrix would oscillate.  A singular system, a
-        non-positive entry or a residual above 1e-10 raises
-        `SolverConvergenceError`: the component is not strongly connected.
+        non-positive or non-finite entry or a residual above 1e-10 (or NaN)
+        raises `SolverConvergenceError`: the component is not strongly
+        connected.
     """
     T = sp.coo_matrix(chain, dtype=float)
     n = T.shape[0]
@@ -130,14 +131,16 @@ def stationary_distribution(chain) -> np.ndarray:
         ) from exc
     pi = lu.solve(b)
 
-    if np.any(pi <= 0):
+    # NaN fails every comparison, so each check holds only for good values.
+    if not np.all((pi > 0) & (pi < np.inf)):
         raise SolverConvergenceError(
-            "stationary vector has non-positive entries; component not strongly connected"
+            "stationary vector has non-positive or non-finite entries;"
+            " component not strongly connected"
         )
     pi = pi / pi.sum()
     inflow = np.bincount(dst, weights=pi[src] * p, minlength=n)  # (pi @ T)
     residual = float(np.max(np.abs(inflow - pi)))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise SolverConvergenceError(f"stationary residual {residual} exceeds 1e-10")
     return pi
 
@@ -198,18 +201,21 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
             raise SolverConvergenceError(f"absorption system is singular ({exc})") from exc
         H = lu.solve(R)
 
-    residual = float(np.max(np.abs(H - (Q @ H + R))))
-    if residual > 1e-9:
+    # NaN fails every comparison, so each check is negated; an inf in H
+    # leaves inf - inf = NaN in the residual.
+    with np.errstate(invalid="ignore"):
+        residual = float(np.max(np.abs(H - (Q @ H + R))))
+    if not residual <= 1e-9:
         raise SolverConvergenceError(f"absorption residual {residual} exceeds 1e-9")
     row_sums = H.sum(axis=1)
     worst_row = float(np.max(np.abs(row_sums - 1.0)))
-    if worst_row > 1e-9:
+    if not worst_row <= 1e-9:
         i = int(np.argmax(np.abs(row_sums - 1.0)))
         raise SolverConvergenceError(
             f"hitting row for state {transient[i]} sums to {row_sums[i]!r}"
         )
     bound_excess = float(max(0.0, np.max(-H, initial=0.0), np.max(H - 1.0, initial=0.0)))
-    if bound_excess > 1e-9:
+    if not bound_excess <= 1e-9:
         raise SolverConvergenceError(
             f"hitting probability outside [0, 1] by {bound_excess}"
         )

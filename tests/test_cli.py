@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -9,14 +10,17 @@ import pytest
 
 import sinklimit.game
 from sinklimit import (
+    ContractViolation,
     SolverConvergenceError,
     build_response_graph,
     game_to_json,
+    limit_hitting_probabilities,
+    oracle_hitting_matrix,
     profile_label,
     random_game,
     save_game,
 )
-from sinklimit.cli import main
+from sinklimit.cli import _emit_json, main
 
 from conftest import bimatrix
 
@@ -115,6 +119,77 @@ def test_hit_output_is_indented_json(tmp_path, capsys, fig3_game):
     assert out_path.read_text() == stdout
 
 
+def old_hit_payload(game, eps=None) -> dict:
+    """`hit`'s output as a nested dict, the way `cmd_hit` once built it for
+    `json.dump`."""
+    if eps is None:
+        hit, method = limit_hitting_probabilities(game), "limit"
+    else:
+        hit, method = oracle_hitting_matrix(game, float(eps)), "oracle"
+    labels = [
+        f"sink_{j} {{{','.join(profile_label(pid, game) for pid in s)}}}"
+        for j, s in enumerate(hit.sinks)
+    ]
+    rows = {
+        profile_label(pid, game): dict(zip(labels, row))
+        for pid, row in enumerate(hit.probabilities.tolist())
+    }
+    return {
+        "schema": 1,
+        "command": "hit",
+        "method": method,
+        "sinks": [list(s) for s in hit.sinks],
+        "sink_labels": labels,
+        "rounds": hit.rounds,
+        "order_trace": hit.order_trace,
+        "rows": rows,
+    }
+
+
+@pytest.mark.parametrize("eps", [None, "1e-6"])
+def test_hit_text_is_json_dumps_of_nested_rows(tmp_path, capsys, fig3_game, eps):
+    # The seeded tie games include collapse rounds and games with several sinks.
+    games = [fig3_game] + [random_game(seed, 4, (3,) * 4, "integer", int_max=2)
+                           for seed in range(40, 50)]
+    shapes = set()
+    for game in games:
+        gpath = write_game(tmp_path, game)
+        out_path = tmp_path / "hit.json"
+        old = old_hit_payload(game, eps)
+        want = json.dumps(old, indent=2) + "\n"
+        flags = [] if eps is None else ["--oracle-eps", eps]
+        code, stdout, _ = run_cli(capsys, "hit", gpath, *flags)
+        assert (code, stdout) == (0, want)
+        assert run_cli(capsys, "hit", gpath, *flags, "-o", str(out_path)) == (0, "", "")
+        assert out_path.read_text() == want
+        shapes.add((min(old["rounds"], 1), min(len(old["sinks"]), 2)))
+    if eps is None:  # the oracle runs no collapse rounds
+        assert (1, 2) in shapes
+
+
+def test_emit_json_rows_match_json_dumps(capsys):
+    # Signed zeros, subnormals, tiny and huge values, and keys json escapes.
+    matrix = np.array([[-0.0, 1e-17, 0.1 + 0.2], [5e-324, 1.0, 2.5e300]])
+    row_keys, col_keys = ["r\u00e9", 'q"'], ["c1", "c\n2", "c\\3"]
+    payload = {"head": [1, {"x": None}], "s": "t"}
+    _emit_json(argparse.Namespace(output=None), payload, rows=(row_keys, col_keys, matrix))
+    rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix.tolist())}
+    assert capsys.readouterr().out == json.dumps({**payload, "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_emit_json_refuses_non_finite_rows(tmp_path, capsys, bad):
+    # `json.dump` would write NaN or Infinity, which is not JSON.
+    out_path = tmp_path / "hit.json"
+    matrix = np.array([[0.5, 0.5], [0.25, bad]])
+    for output in (None, str(out_path)):
+        with pytest.raises(ContractViolation):
+            _emit_json(argparse.Namespace(output=output), {"command": "hit"},
+                       rows=(["(1)", "(2)"], ["sink_0", "sink_1"], matrix))
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+
+
 def test_limit_pure_prior_exact(tmp_path, capsys, fig3_game):
     gpath = write_game(tmp_path, fig3_game)
     wpath = tmp_path / "weights.json"
@@ -175,6 +250,16 @@ def test_payoff_differences_that_overflow_exit_two(tmp_path, capsys, command, ut
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "INPUT_ERROR: utilities: payoff differences overflow a float\n"
+
+
+def test_payoff_gains_near_the_float_limit_solve(tmp_path, capsys):
+    # Every single gain and every profile's total gain is 1e308 or less.
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps({"players": 1, "strategies": [3], "utilities": [[0, 0, 1e308]]}))
+    code, out, err = run_cli(capsys, "hit", str(gpath))
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert rows == {f"({a})": {"sink_0 {(3)}": 1.0} for a in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])

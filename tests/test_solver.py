@@ -309,6 +309,22 @@ def test_stochastic_matrix_rejects_nan_rows():
             absorbing_chain(P, [2])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_lu_solves_raise(monkeypatch, value):
+    # NaN passes every `x > tol` check, so a NaN solve would reach the output.
+    class LU:
+        def solve(self, b):
+            return np.full(np.shape(b), value)
+
+    monkeypatch.setattr(sp.linalg, "splu", lambda *args, **kwargs: LU())
+    with pytest.raises(SolverConvergenceError):
+        stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    P = np.zeros((5, 5))
+    P[[1, 2, 3], [0, 1, 2]] = P[[1, 2, 3], [2, 3, 4]] = 0.5
+    with pytest.raises(SolverConvergenceError):
+        absorption_probabilities(absorbing_chain(P, [0, 4]))
+
+
 # -- epsilon oracle -------------------------------------------------------------
 
 
