@@ -9,7 +9,11 @@ steps and the state passes close to a vertex at least once in the window.
 
 The estimator steps every run of a checkpoint block (samples times runs
 per sample) as one batch, and a run leaves the batch as soon as it is
-classified or frozen.  Each run draws its noise from its own generator,
+classified or frozen.  The batch is one zero-padded array of shape
+(players, runs, widest strategy count), so each step and each
+classification makes one numpy call per operation for all players, not
+one per player; a pad slot is zero and never enters a support.  Each run
+draws its noise from its own generator,
 seeded by a splittable (root, sample, run) scheme, so a run's trajectory
 does not depend on which runs share its batch and results are
 bit-identical for a given root seed.
@@ -88,9 +92,10 @@ def check_mixed_profile(game: Game, x) -> None:
         xi = np.asarray(xi)
         if xi.shape != (game.strategy_counts[i],):
             raise ValueError(f"player {i} vector has wrong length")
-        if np.any(xi < 0):
-            raise ValueError(f"player {i} vector has negative entries")
-        if abs(float(xi.sum()) - 1.0) > 1e-12:
+        # Written so that NaN and inf fail: every comparison with NaN is False.
+        if not np.all(xi >= 0):
+            raise ValueError(f"player {i} vector has negative or NaN entries")
+        if not abs(float(xi.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"player {i} vector sums to {xi.sum()!r}")
         if not np.any(xi > 0):
             raise ValueError(f"player {i} vector has empty support")
@@ -211,7 +216,7 @@ def _simplex_rows(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean projection onto the simplex over masked coords."""
     runs, k = V.shape
     Vm = np.where(mask, V, -np.inf)
-    s = -np.sort(-Vm, axis=1)
+    s = np.sort(Vm, axis=1)[:, ::-1]
     vals = np.where(np.isfinite(s), s, 0.0)
     cs = np.cumsum(vals, axis=1)
     j = np.arange(1, k + 1)
@@ -230,6 +235,8 @@ def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float) -> np.ndarray:
     X = _simplex_rows(V, mask)
     if floor <= 0.0:
         return X
+    # A re-projected row loses a coordinate each pass and a fallen-back row
+    # stays put, so the row width (pads included) bounds the passes.
     for _ in range(V.shape[1]):
         small = (X > 0) & (X < floor)
         rows = np.flatnonzero(small.any(axis=1))
@@ -267,21 +274,42 @@ def project_to_simplex(v, support=None, floor: float = 0.0) -> np.ndarray:
     return _project_rows(v[None, :], mask[None, :], floor)[0]
 
 
+def _noise_slots(game: Game) -> np.ndarray:
+    """`slots[i, k]` is the noise column of player i's strategy k in the
+    padded layout; a pad slot k >= s_i reads player i's last column, and the
+    step masks it to zero."""
+    counts = np.array(game.strategy_counts)
+    k = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return (np.cumsum(counts) - counts)[:, None] + k
+
+
+def _pad(game: Game, x, runs: int) -> np.ndarray:
+    """Zero-padded `(players, runs, widest)` array of the per-player starts
+    `x[i]`: one vector shared by every run, or one row per run."""
+    X = np.zeros((game.num_players, runs, max(game.strategy_counts)))
+    for i, s in enumerate(game.strategy_counts):
+        X[i, :, :s] = np.asarray(x[i], dtype=float)
+    return X
+
+
 def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray):
-    """One synchronous noisy-replicator step for a batch of runs."""
-    p = game.num_players
-    runs = X[0].shape[0]
-    offsets = np.cumsum([0] + list(game.strategy_counts))
-    out = []
-    for i in range(p):
-        eu = _expected_utilities_batch(game, X, i)
-        mask = X[i] > 0
-        idx = np.argmax(np.where(mask, eu, -np.inf), axis=1)
-        V = X[i].copy()
-        V[np.arange(runs), idx] += params.eta
-        V += params.delta * noise_row[:, offsets[i] : offsets[i + 1]] * mask
-        out.append(_project_rows(V, mask, params.extinction_floor))
-    return out
+    """One synchronous noisy-replicator step for a batch of runs.
+
+    `X[i]` is player i's `(runs, widest)` array, zero beyond its strategy
+    count, and `noise_row` holds the noise in the same layout."""
+    p, runs, widest = X.shape
+    views = [X[j, :, :s] for j, s in enumerate(game.strategy_counts)]
+    eu = np.empty_like(X)
+    for i, s in enumerate(game.strategy_counts):
+        eu[i, :, :s] = _expected_utilities_batch(game, views, i)
+    mask = X > 0
+    idx = np.argmax(np.where(mask, eu, -np.inf), axis=2)
+    V = X.copy()
+    V[np.arange(p)[:, None], np.arange(runs), idx] += params.eta
+    V += params.delta * noise_row * mask
+    rows = _project_rows(V.reshape(-1, widest), mask.reshape(-1, widest),
+                         params.extinction_floor)
+    return rows.reshape(p, runs, widest)
 
 
 def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
@@ -292,9 +320,9 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     stream consumption identical to the batched simulation engine.
     """
     check_mixed_profile(game, x)
-    X = [np.asarray(xi, dtype=float)[None, :] for xi in x]
-    noise = rng.standard_normal(sum(game.strategy_counts))[None, :]
-    return tuple(xi[0] for xi in _step_batch(game, X, params, noise))
+    noise = rng.standard_normal(sum(game.strategy_counts))[_noise_slots(game)][:, None, :]
+    X = _step_batch(game, _pad(game, x, 1), params, noise)
+    return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
 
 def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParams,
@@ -307,38 +335,39 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
     when not classified within `params.max_steps`.
     """
     runs = len(rngs)
-    X = [np.array(np.broadcast_to(np.asarray(x0[i], dtype=float), (runs, s)))
-         for i, s in enumerate(game.strategy_counts)]
+    p = game.num_players
+    X = _pad(game, x0, runs)
+    slots = _noise_slots(game)
     strides = np.array(game.strides)
     live = np.arange(runs)
+    players, rows = np.arange(p)[:, None], live
     streak_sink = np.full(runs, -1)
     streak_len = np.zeros(runs, dtype=int)
     streak_close = np.zeros(runs, dtype=bool)
     result = np.full(runs, -1)
-    # Run j's noise rows sit in block[j]; each fill continues its own stream,
-    # so the block length never changes a run's noise.
-    block = np.empty((runs, _NOISE_BLOCK, sum(game.strategy_counts)))
     pos = _NOISE_BLOCK
     for _ in range(params.max_steps):
         if live.size == 0:
             break
         if pos == _NOISE_BLOCK:
+            # Run j's draws fill raw[j] from its own stream, so the block
+            # length never changes a run's noise; then one gather moves
+            # every draw into its padded slot.
+            raw = np.empty((live.size, _NOISE_BLOCK, sum(game.strategy_counts)))
             for j, r in enumerate(live.tolist()):
-                rngs[r].standard_normal(out=block[j])
+                rngs[r].standard_normal(out=raw[j])
+            block = raw[:, :, slots]
             pos = 0
-        X = _step_batch(game, X, params, block[:, pos, :])
+        X = _step_batch(game, X, params, block[:, pos].transpose(1, 0, 2))
         pos += 1
-        m = live.size
-        nearest = np.zeros(m, dtype=int)
-        dist = np.zeros(m)
-        frozen = np.ones(m, dtype=bool)
-        for i in range(game.num_players):
-            arg = np.argmax(X[i], axis=1)
-            nearest += arg * strides[i]
-            tmp = X[i].copy()
-            tmp[np.arange(m), arg] -= 1.0
-            dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
-            frozen &= (X[i] > 0).sum(axis=1) == 1
+        arg = X.argmax(axis=2)
+        nearest = strides @ arg
+        offset = X.copy()
+        offset[players, rows, arg] -= 1.0
+        dist = np.abs(offset).max(axis=(0, 2))
+        # Every support keeps at least one strategy, so p supported
+        # strategies in all means every support is a singleton.
+        frozen = (X > 0).sum(axis=(0, 2)) == p
         s = sink_of[nearest]
         in_sink = s >= 0
         same = in_sink & (s == streak_sink)
@@ -355,7 +384,8 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
         keep = ~settled
         if not keep.all():
             live = live[keep]
-            X = [xi[keep] for xi in X]
+            rows = np.arange(live.size)
+            X = X[:, keep]
             streak_sink, streak_len, streak_close = (
                 streak_sink[keep], streak_len[keep], streak_close[keep])
             block = block[keep]

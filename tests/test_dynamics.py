@@ -239,6 +239,190 @@ def test_engine_matches_reference_classification(fig2_game, fig3_game):
             assert got == want
 
 
+# -- padded batch against the per-player reference ----------------------------------
+
+
+def reference_project_rows(V, mask, floor):
+    """The simplex projection with extinction, as written for one player's
+    unpadded (runs, s) rows."""
+
+    def simplex_rows(V, mask):
+        runs, k = V.shape
+        Vm = np.where(mask, V, -np.inf)
+        s = -np.sort(-Vm, axis=1)
+        vals = np.where(np.isfinite(s), s, 0.0)
+        cs = np.cumsum(vals, axis=1)
+        rho = (s + (1.0 - cs) / np.arange(1, k + 1) > 0).sum(axis=1)
+        lam = (1.0 - cs[np.arange(runs), rho - 1]) / rho
+        X = np.maximum(V + lam[:, None], 0.0)
+        X[~mask] = 0.0
+        return X
+
+    X = simplex_rows(V, mask)
+    if floor <= 0.0:
+        return X
+    for _ in range(V.shape[1]):
+        small = (X > 0) & (X < floor)
+        rows = np.flatnonzero(small.any(axis=1))
+        if rows.size == 0:
+            break
+        keep = (X > 0) & ~small
+        dead = rows[~keep[rows].any(axis=1)]
+        if dead.size:
+            best = np.argmax(np.where(mask[dead], V[dead], -np.inf), axis=1)
+            X[dead] = 0.0
+            X[dead, best] = 1.0
+            rows = rows[keep[rows].any(axis=1)]
+        if rows.size:
+            X[rows] = simplex_rows(X[rows], keep[rows])
+    return X
+
+
+def reference_step_batch(game, X, params, noise_row):
+    """One step with one (runs, s_i) array per player and the noise in
+    player-order columns, each player's operations made on their own."""
+    runs = X[0].shape[0]
+    offsets = np.cumsum([0] + list(game.strategy_counts))
+    out = []
+    for i in range(game.num_players):
+        eu = _expected_utilities_batch(game, X, i)
+        mask = X[i] > 0
+        idx = np.argmax(np.where(mask, eu, -np.inf), axis=1)
+        V = X[i].copy()
+        V[np.arange(runs), idx] += params.eta
+        V += params.delta * noise_row[:, offsets[i] : offsets[i + 1]] * mask
+        out.append(reference_project_rows(V, mask, params.extinction_floor))
+    return out
+
+
+def reference_simulate_batch(game, x0, sink_of, params, rngs):
+    """`_simulate_batch` over per-player arrays, classifying one player at a time."""
+    runs = len(rngs)
+    X = [np.array(np.broadcast_to(np.asarray(x0[i], dtype=float), (runs, s)))
+         for i, s in enumerate(game.strategy_counts)]
+    live = np.arange(runs)
+    streak_sink = np.full(runs, -1)
+    streak_len = np.zeros(runs, dtype=int)
+    streak_close = np.zeros(runs, dtype=bool)
+    result = np.full(runs, -1)
+    block = np.empty((runs, sinklimit.dynamics._NOISE_BLOCK, sum(game.strategy_counts)))
+    pos = sinklimit.dynamics._NOISE_BLOCK
+    for _ in range(params.max_steps):
+        if live.size == 0:
+            break
+        if pos == sinklimit.dynamics._NOISE_BLOCK:
+            for j, r in enumerate(live.tolist()):
+                rngs[r].standard_normal(out=block[j])
+            pos = 0
+        X = reference_step_batch(game, X, params, block[:, pos, :])
+        pos += 1
+        m = live.size
+        nearest = np.zeros(m, dtype=int)
+        dist = np.zeros(m)
+        frozen = np.ones(m, dtype=bool)
+        for i in range(game.num_players):
+            arg = np.argmax(X[i], axis=1)
+            nearest += arg * game.strides[i]
+            tmp = X[i].copy()
+            tmp[np.arange(m), arg] -= 1.0
+            dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
+            frozen &= (X[i] > 0).sum(axis=1) == 1
+        s = sink_of[nearest]
+        in_sink = s >= 0
+        same = in_sink & (s == streak_sink)
+        streak_len = np.where(same, streak_len + 1, in_sink)
+        streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
+        streak_sink = s
+        settled = ((streak_len >= params.window) & streak_close) | frozen
+        result[live[settled]] = s[settled]
+        keep = ~settled
+        if not keep.all():
+            live = live[keep]
+            X = [xi[keep] for xi in X]
+            streak_sink, streak_len, streak_close = (
+                streak_sink[keep], streak_len[keep], streak_close[keep])
+            block = block[keep]
+    return result
+
+
+UNEQUAL_COUNTS = [(2, 3, 4), (4, 3), (1, 3), (3, 1, 2), (3,)]
+
+
+def mixed_starts(game, rng, runs):
+    """Per-player (runs, s) starts: near-uniform rows, Dirichlet rows and rows
+    with part of the support cut away."""
+    x0 = []
+    for s in game.strategy_counts:
+        rows = rng.dirichlet(np.ones(s), size=runs)
+        rows[: runs // 3] = 1.0 + 0.01 * rng.random((runs // 3, s))
+        cut = rng.random((runs, s)) < 0.3
+        cut[np.arange(runs), rows.argmax(axis=1)] = False
+        rows[runs // 3 : 2 * runs // 3] *= ~cut[runs // 3 : 2 * runs // 3]
+        x0.append(rows / rows.sum(axis=1, keepdims=True))
+    return x0
+
+
+@pytest.mark.parametrize("counts", UNEQUAL_COUNTS)
+@pytest.mark.parametrize("floor", [1e-9, 0.2, 0.45])
+def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
+    """Padding is bit-identical to stepping each player's unpadded rows; the
+    floors 0.2 and 0.45 drive re-projection and the dead-row fallback."""
+    game = random_game(7, len(counts), counts)
+    params = ReplicatorParams(delta=0.05, extinction_floor=floor)
+    rng = np.random.default_rng(11)
+    ref = mixed_starts(game, rng, 12)
+    X = sinklimit.dynamics._pad(game, ref, 12)
+    slots = sinklimit.dynamics._noise_slots(game)
+    projections = []
+    simplex_rows = sinklimit.dynamics._simplex_rows
+    monkeypatch.setattr(sinklimit.dynamics, "_simplex_rows",
+                        lambda V, mask: projections.append(len(V)) or simplex_rows(V, mask))
+    for step in range(40):
+        noise = rng.standard_normal((12, sum(counts)))
+        X = sinklimit.dynamics._step_batch(game, X, params, noise[:, slots].transpose(1, 0, 2))
+        ref = reference_step_batch(game, ref, params, noise)
+        for i, s in enumerate(counts):
+            np.testing.assert_array_equal(X[i, :, :s], ref[i])
+            assert np.all(X[i, :, s:] == 0.0)
+        if step == 0 and floor == 0.45:
+            # Near-uniform rows of three or more strategies lie wholly
+            # below the floor, so the fallback makes them vertices.
+            wide = [i for i, s in enumerate(counts) if s >= 3]
+            assert np.all(np.sort(X[wide, :4], axis=2)[..., -1] == 1.0)
+    if floor == 0.2:
+        assert len(projections) > 40  # some steps re-projected
+
+    x = tuple(rng.dirichlet(np.ones(s)) for s in counts)
+    want = [xi[None, :] for xi in x]
+    step_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(200):
+        x = noisy_replicator_step(game, x, params, step_rng)
+        want = reference_step_batch(game, want, params, ref_rng.standard_normal(sum(counts))[None, :])
+        for got, w in zip(x, want):
+            np.testing.assert_array_equal(got, w[0])
+
+
+# Seeds 4 and 6 give a sink cycle of 23, 5 and 6 profiles.  The short budget
+# ends while runs still settle by the window rule, so it checks when each run
+# is classified as well as where.
+@pytest.mark.parametrize("counts, seed", zip(UNEQUAL_COUNTS, (4, 6, 7, 6, 7)))
+@pytest.mark.parametrize("floor", [1e-9, 0.2])
+def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
+    game = random_game(seed, len(counts), counts)
+    lookup = group_ids(game.num_profiles, sink_equilibria(build_reduced_response_graph(game)))
+    x0 = mixed_starts(game, np.random.default_rng(5), 15)
+
+    def rngs():
+        return [np.random.default_rng(np.random.SeedSequence([9, r])) for r in range(15)]
+
+    for max_steps in (60, 1500):
+        params = ReplicatorParams(extinction_floor=floor, max_steps=max_steps)
+        got = _simulate_batch(game, x0, lookup, params, rngs())
+        want = reference_simulate_batch(game, x0, lookup, params, rngs())
+        np.testing.assert_array_equal(got, want)
+    assert np.any(got >= 0)
+
+
 # -- trajectory classification ------------------------------------------------------
 
 
@@ -580,6 +764,20 @@ def test_total_variation():
     assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
     assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert total_variation([0.7, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [np.inf, -np.inf, 1.0],
+                                 [np.nan] * 3, [np.inf] * 3])
+def test_non_finite_starts_rejected(fig2_game, bad):
+    x = (np.array(bad), np.full(3, 1 / 3))
+    sinks = sink_equilibria(build_response_graph(fig2_game))
+    params = ReplicatorParams()
+    with pytest.raises(ValueError, match="player 0"):
+        simulate_to_sink(fig2_game, x, sinks, params, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="player 0"):
+        noisy_replicator_step(fig2_game, x, params, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="player 0"):
+        best_response_vector(fig2_game, x, 1)
 
 
 def test_replicator_params_validation():
