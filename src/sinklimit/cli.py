@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"NUMERIC_ERROR: {exc}", file=sys.stderr)
         return 3
-    except (GameFormatError, ValueError) as exc:
+    # OverflowError's only source is a JSON integer too large for a float.
+    except (GameFormatError, ValueError, OverflowError) as exc:
         print(f"INPUT_ERROR: {exc}", file=sys.stderr)
         return 2
 

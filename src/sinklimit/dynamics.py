@@ -95,10 +95,9 @@ def check_mixed_profile(game: Game, x) -> None:
         # Written so that NaN and inf fail: every comparison with NaN is False.
         if not np.all(xi >= 0):
             raise ValueError(f"player {i} vector has negative or NaN entries")
+        # Nonnegative entries summing to 1 include a positive one: the support is never empty.
         if not abs(float(xi.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"player {i} vector sums to {xi.sum()!r}")
-        if not np.any(xi > 0):
-            raise ValueError(f"player {i} vector has empty support")
+            raise ValueError(f"player {i} vector sums to {float(xi.sum())!r}")
 
 
 def _check_pure_weights(weights) -> np.ndarray:
@@ -276,8 +275,8 @@ def project_to_simplex(v, support=None, floor: float = 0.0) -> np.ndarray:
 
 def _noise_slots(game: Game) -> np.ndarray:
     """`slots[i, k]` is the noise column of player i's strategy k in the
-    padded layout; a pad slot k >= s_i reads player i's last column, and the
-    step masks it to zero."""
+    padded layout; a pad slot k >= s_i reads player i's last column, which the
+    step's projection ignores there."""
     counts = np.array(game.strategy_counts)
     k = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
     return (np.cumsum(counts) - counts)[:, None] + k
@@ -306,7 +305,7 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray):
     idx = np.argmax(np.where(mask, eu, -np.inf), axis=2)
     V = X.copy()
     V[np.arange(p)[:, None], np.arange(runs), idx] += params.eta
-    V += params.delta * noise_row * mask
+    V += params.delta * noise_row  # the projection reads V on the support only
     rows = _project_rows(V.reshape(-1, widest), mask.reshape(-1, widest),
                          params.extinction_floor)
     return rows.reshape(p, runs, widest)
@@ -315,7 +314,7 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray):
 def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     """One step of the dynamics for a single profile.
 
-    Gaussian noise is drawn for every coordinate in player order and zeroed
+    Gaussian noise is drawn for every coordinate in player order and ignored
     off-support (equivalent to drawing on the support only), which keeps the
     stream consumption identical to the batched simulation engine.
     """

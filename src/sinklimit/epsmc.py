@@ -258,14 +258,17 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
     return OrderLabels(dist, max(dist.values()))
 
 
-def collapse_pseudosink(chain: EpsilonMC, members: list[int], pi: np.ndarray) -> EpsilonMC:
-    """Collapse pseudosink `members` into one node, in place.
+def collapse_pseudosink(chain: EpsilonMC, groups: list[list[int]]) -> EpsilonMC:
+    """Collapse each pseudosink of `groups` into one node, in place.
 
-    `pi` is the stationary distribution of the pseudosink's internal
-    regular-edge chain, aligned with `sorted(members)`; see `_exit_rows` for
-    the collapsed node's out-row.
+    One collapse round: each group's exit row (see `_exit_rows`) is weighted
+    by the stationary distribution of its internal regular-edge chain, all
+    read from the chain as the round found it.  One pseudosink is collapsed
+    as ``collapse_pseudosink(chain, [members])``.
     """
-    chain._collapse([members], new_rows=_exit_rows(chain, [members], [pi]))
+    pis = [solver.stationary_distribution(chain.reg[m][:, m]) if len(m) > 1 else np.ones(1)
+           for m in groups]
+    chain._collapse(groups, new_rows=_exit_rows(chain, groups, pis))
     return chain
 
 
@@ -354,18 +357,17 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
     """Limit hitting probabilities from every pure profile of `game`.
 
     Pipeline: build the profile chain, collapse its sink components, then
-    collapse every pseudosink of a round together (exit rows taken from the
-    chain as the round found it) and re-partition, until every node has a
-    regular path to absorption; finally drop the vanishing edges and solve
-    the ordinary absorbing chain.  Each collapse round provably reduces the
-    maximum order by at least one, so the loop runs at most max-order rounds;
-    both guarantees are asserted and violations raise rather than loop.
+    collapse every pseudosink of a round with one `collapse_pseudosink` call
+    and re-partition, until every node has a regular path to absorption;
+    finally drop the vanishing edges and solve the ordinary absorbing chain.
+    Each collapse round provably reduces the maximum order by at least one,
+    so the loop runs at most max-order rounds; both guarantees are asserted
+    and violations raise rather than loop.
     """
     chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
     orders = node_orders(chain)
     trace = [orders.max_order]
     pseudo_counts: list[int] = []
-    rounds = 0
     while orders.max_order > 0:
         partition = rsccs(chain)
         pseudos = partition.pseudosinks()
@@ -374,10 +376,7 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
                 f"max order is {orders.max_order} but no pseudosink exists"
             )
         pseudo_counts.append(len(pseudos))
-        pis = [solver.stationary_distribution(chain.reg[m][:, m]) if len(m) > 1 else np.ones(1)
-               for m in pseudos]
-        chain._collapse(pseudos, new_rows=_exit_rows(chain, pseudos, pis))
-        rounds += 1
+        collapse_pseudosink(chain, pseudos)
         new_orders = node_orders(chain)
         if new_orders.max_order >= orders.max_order:
             raise ContractViolation(
@@ -390,7 +389,7 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
     nodes = chain.live_nodes()
     result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))
     return HittingMatrix(
-        _hitting_rows(chain, nodes, result), sinks, rounds, trace, pseudo_counts,
+        _hitting_rows(chain, nodes, result), sinks, len(pseudo_counts), trace, pseudo_counts,
         result.residual, result.bound_excess,
     )
 

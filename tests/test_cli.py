@@ -612,6 +612,110 @@ def test_malformed_game_file(tmp_path, capsys):
     assert err.startswith("INPUT_ERROR: json")
 
 
+MISSING = "[Errno 2] No such file or directory: 'PATH'"
+NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, f"file: cannot read PATH: {MISSING}"),
+    ("[1, 2]", "game: top-level JSON value must be an object"),
+    ('{"players": 2, "strategies": [2], "utilities": [[0, 0]]}',
+     "strategies: expected a list of 2 counts"),
+    ('{"players": 2, "strategies": [2, 2], "utilities": [[0, 0, 0, 0]]}',
+     "utilities: expected one tensor per player"),
+    ('{"players": 2, "strategies": [2, 2], "utilities": [[0, 0, 0, 0], [0, 0, "1", 0]]}',
+     "utilities[1]: entries must be numbers"),
+], ids=["unreadable", "not-object", "strategies-length", "utilities-count", "string-entry"])
+def test_bad_game_files_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "game.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "sinks", str(path))
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: " + message.replace("PATH", str(path)) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, f"weights: cannot read PATH: {MISSING}"),
+    ("{nonsense", f"weights: PATH is not valid JSON: {NOT_JSON}"),
+    ('{"w": [1]}', "weights: expected a JSON array (or {'weights': [...]})"),
+    ("5", "weights: expected a JSON array (or {'weights': [...]})"),
+    (json.dumps([1 / 8] * 8), "weights: expected 9 entries, got 8"),
+], ids=["unreadable", "not-json", "object-without-weights", "not-array", "wrong-length"])
+def test_bad_weights_files_exit_two(tmp_path, capsys, fig3_game, text, message):
+    gpath = write_game(tmp_path, fig3_game)
+    wpath = tmp_path / "weights.json"
+    if text is not None:
+        wpath.write_text(text)
+    code, out, err = run_cli(capsys, "limit", gpath, f"pure:{wpath}")
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: " + message.replace("PATH", str(wpath)) + "\n"
+
+
+def test_weights_object_form_matches_array_form(tmp_path, capsys, fig3_game):
+    gpath = write_game(tmp_path, fig3_game)
+    weights = [1 / 9] * 9
+    outs = []
+    for name, obj in (("array", weights), ("object", {"weights": weights})):
+        wpath = tmp_path / f"{name}.json"
+        wpath.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "limit", gpath, f"pure:{wpath}")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("drop_rows", [False, True], ids=["unreadable", "missing-rows"])
+def test_bad_hit_files_exit_two(tmp_path, capsys, fig2_game, drop_rows):
+    gpath = write_game(tmp_path, fig2_game)
+    hit_path = tmp_path / "hit.json"
+    if drop_rows:
+        assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
+        payload = json.loads(hit_path.read_text())
+        del payload["rows"]
+        hit_path.write_text(json.dumps(payload))
+        message = "hit: malformed hitting matrix file ('rows')"
+    else:
+        message = f"hit: cannot read hitting matrix PATH: {MISSING}"
+    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: " + message.replace("PATH", str(hit_path)) + "\n"
+
+
+def test_random_game_strategies_must_be_integers(capsys):
+    code, out, err = run_cli(capsys, "random-game", "--seed", "1", "-p", "2", "-s", "2,x")
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: strategies: expected comma-separated integers\n"
+
+
+# An integer literal beyond the float range: json reads it as an int, and
+# converting it to a float raises OverflowError.
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("kind", ["game", "weights", "hit"])
+def test_json_integers_beyond_float_range_exit_two(tmp_path, capsys, fig2_game, kind):
+    gpath = write_game(tmp_path, fig2_game)
+    path = tmp_path / f"{kind}.json"
+    if kind == "game":
+        obj = game_to_json(fig2_game)
+        obj["utilities"][0][0] = HUGE
+        argv = ["sinks", str(path)]
+    elif kind == "weights":
+        obj = [HUGE] + [0] * 8
+        argv = ["limit", gpath, f"pure:{path}"]
+    else:
+        assert run_cli(capsys, "hit", gpath, "-o", str(path))[0] == 0
+        obj = json.loads(path.read_text())
+        row = obj["rows"][profile_label(2, fig2_game)]
+        row[obj["sink_labels"][0]] = HUGE
+        argv = ["export-dot", gpath, "--hit", str(path)]
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: int too large to convert to float\n"
+
+
 def test_numeric_failures_exit_three(tmp_path, capsys, fig3_game, monkeypatch):
     import sinklimit.cli as cli_mod
 

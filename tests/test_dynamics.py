@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -778,6 +779,22 @@ def test_non_finite_starts_rejected(fig2_game, bad):
         noisy_replicator_step(fig2_game, x, params, np.random.default_rng(0))
     with pytest.raises(ValueError, match="player 0"):
         best_response_vector(fig2_game, x, 1)
+
+
+@pytest.mark.parametrize("x, message", [
+    ((np.full(3, 1 / 3),), "profile has 1 vectors for 2 players"),
+    ((np.full(2, 1 / 2), np.full(3, 1 / 3)), "player 0 vector has wrong length"),
+    ((np.full(3, 1 / 3), np.zeros(3)), "player 1 vector sums to 0.0"),
+])
+def test_malformed_starts_rejected(fig2_game, x, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        noisy_replicator_step(fig2_game, x, ReplicatorParams(), np.random.default_rng(0))
+
+
+def test_pure_prior_sample_needs_one_weight_per_profile(fig2_game):
+    prior = Prior.pure(np.full(4, 0.25))
+    with pytest.raises(ValueError, match=r"^pure prior has 4 weights for 9 profiles$"):
+        prior.sample(fig2_game, np.random.default_rng(0))
 
 
 def test_replicator_params_validation():

@@ -20,6 +20,8 @@ from sinklimit import (
     sink_equilibria,
 )
 
+from conftest import bimatrix
+
 FIG3_EXPECTED = np.array(
     [
         [1.0, 0.0],          # (1,1): sink member
@@ -207,7 +209,7 @@ def test_orders_unreachable_node_raises():
 
 def test_collapse_fig3_pseudosink(fig3_game):
     chain = collapsed_chain(fig3_game)
-    collapse_pseudosink(chain, [8], np.array([1.0]))
+    collapse_pseudosink(chain, [[8]])
     assert chain.regular_out(8) == {2: 1.0}
     assert chain.eps_out(8) == {}
     # the incoming tie edge from (3,1) is redirected, still epsilon class
@@ -218,7 +220,7 @@ def test_collapse_singleton_weight_ratios():
     chain = EpsilonMC.from_edges(
         3, eps=[(0, 1, 2.0), (0, 2, 1.0)], absorbing=[1, 2]
     )
-    collapse_pseudosink(chain, [0], np.array([1.0]))
+    collapse_pseudosink(chain, [[0]])
     out = chain.regular_out(0)
     assert out[1] == pytest.approx(2 / 3, abs=1e-15)
     assert out[2] == pytest.approx(1 / 3, abs=1e-15)
@@ -237,7 +239,7 @@ def two_node_pseudosink_chain():
 
 def test_collapse_two_node_pseudosink_weights():
     chain = two_node_pseudosink_chain()
-    collapse_pseudosink(chain, [0, 1], np.array([0.5, 0.5]))
+    collapse_pseudosink(chain, [[0, 1]])
     out = chain.regular_out(0)
     assert out[2] == pytest.approx(0.25, abs=1e-15)
     assert out[3] == pytest.approx(0.75, abs=1e-15)
@@ -266,15 +268,15 @@ def test_collapse_two_node_pseudosink_vs_monte_carlo():
 def test_collapse_rejects_non_pseudosink(fig3_game):
     chain = collapsed_chain(fig3_game)
     with pytest.raises(ContractViolation, match="not a pseudosink"):
-        collapse_pseudosink(chain, [2], np.array([1.0]))
+        collapse_pseudosink(chain, [[2]])
 
 
 def test_collapse_rejects_bad_stationary_vector():
     chain = two_node_pseudosink_chain()
     with pytest.raises(ContractViolation, match="normalized"):
-        collapse_pseudosink(chain, [0, 1], np.array([0.9, 0.3]))
+        epsmc._exit_rows(chain, [[0, 1]], [np.array([0.9, 0.3])])
     with pytest.raises(ContractViolation, match="match"):
-        collapse_pseudosink(chain, [0, 1], np.array([1.0]))
+        epsmc._exit_rows(chain, [[0, 1]], [np.array([1.0])])
 
 
 def test_batch_collapse_matches_one_at_a_time():
@@ -285,15 +287,13 @@ def test_batch_collapse_matches_one_at_a_time():
         eps=[(0, 1, 1.0), (0, 2, 2.0), (0, 4, 1.0), (1, 0, 1.0), (2, 3, 3.0)],
         absorbing=[3, 4],
     )
-    pis = {(0,): np.array([1.0]), (1, 2): np.array([0.5, 0.5])}
     batch = EpsilonMC.from_edges(5, **edges)
     pseudos = rsccs(batch).pseudosinks()
     assert pseudos == [[0], [1, 2]]
-    exits = epsmc._exit_rows(batch, pseudos, [pis[tuple(m)] for m in pseudos])
-    batch._collapse(pseudos, new_rows=exits)
+    collapse_pseudosink(batch, pseudos)
     serial = EpsilonMC.from_edges(5, **edges)
     for members in pseudos:
-        collapse_pseudosink(serial, members, pis[tuple(members)])
+        collapse_pseudosink(serial, [members])
     assert batch.live_nodes() == serial.live_nodes() == [0, 1, 3, 4]
     assert batch.origin.tolist() == serial.origin.tolist() == [0, 1, 1, 3, 4]
     for v in (0, 1):
@@ -379,7 +379,7 @@ def test_delete_eps_requires_order_zero():
 
 def test_delete_eps_preserves_hitting_fig3(fig3_game):
     chain = collapsed_chain(fig3_game)
-    collapse_pseudosink(chain, [8], np.array([1.0]))
+    collapse_pseudosink(chain, [[8]])
     delete_epsilon_edges(chain)
     assert chain.num_eps_edges() == 0
     # against the small-eps oracle of the untouched chain
@@ -398,6 +398,53 @@ def test_fig3_exact_hitting_matrix(fig3_game):
     assert hit.rounds == 1
     assert hit.order_trace == [1, 0]
     assert hit.pseudosink_counts == [1]
+
+
+def two_round_game():
+    # (1,1) is a pure equilibrium whose one exit is a row tie with (2,1), and
+    # (2,1) -> (2,2) -> (1,2) -> (1,1) is a regular cycle that leaves only
+    # through ties (to (3,2) and (1,4)).  Round 1 collapses (1,1); that
+    # closes the cycle into a four-profile pseudosink for round 2.
+    return bimatrix([
+        [(2, 2), (2, 1), (0, 0), (0, 1)],
+        [(2, 1), (1, 2), (1, 0), (1, -1)],
+        [(0, 0), (1, 1), (3, 2), (2, -1)],
+        [(-1, 0), (0, 1), (2, 2), (3, 3)],
+    ])
+
+
+@pytest.mark.parametrize("game_name, groups, trace", [
+    ("fig3", [[[8]]], [1, 0]),
+    ("two_round", [[[0]], [[0, 1, 4, 5]]], [2, 1, 0]),
+])
+def test_driver_collapses_each_round_through_collapse_pseudosink(
+        fig3_game, monkeypatch, game_name, groups, trace):
+    game = fig3_game if game_name == "fig3" else two_round_game()
+    calls, inside, stationary_sizes = [], [], []
+    collapse, stationary = epsmc.collapse_pseudosink, epsmc.solver.stationary_distribution
+
+    def recording_collapse(chain, round_groups):
+        calls.append([list(m) for m in round_groups])
+        inside.append(True)
+        try:
+            return collapse(chain, round_groups)
+        finally:
+            inside.pop()
+
+    def stationary_inside_collapse(matrix):
+        assert inside, "stationary vector computed outside collapse_pseudosink"
+        stationary_sizes.append(matrix.shape[0])
+        return stationary(matrix)
+
+    monkeypatch.setattr(epsmc, "collapse_pseudosink", recording_collapse)
+    monkeypatch.setattr(epsmc.solver, "stationary_distribution", stationary_inside_collapse)
+    hit = limit_hitting_probabilities(game)
+    assert calls == groups and hit.order_trace == trace
+    assert hit.rounds == len(calls)
+    assert hit.pseudosink_counts == [len(g) for g in calls]
+    assert stationary_sizes == [len(m) for g in calls for m in g if len(m) > 1]
+    oracle = oracle_hitting_matrix(game, 1e-8).probabilities
+    assert np.max(np.abs(hit.probabilities - oracle)) < 1e-6
 
 
 def test_driver_builds_response_graph_once(fig3_game, monkeypatch):
@@ -500,7 +547,7 @@ def test_collapse_invariance_of_singleton_pseudosinks():
         before = oracle_hitting_at_epsilon(chain, 1e-8)
         nodes_before = chain.live_nodes()
         after_chain = chain.copy()
-        collapse_pseudosink(after_chain, members, np.array([1.0]))
+        collapse_pseudosink(after_chain, [members])
         after = oracle_hitting_at_epsilon(after_chain, 1e-8)
         nodes_after = after_chain.live_nodes()
         rows_b = {}
@@ -527,7 +574,7 @@ def test_collapse_invariance_multinode_pseudosink():
     before = oracle_hitting_at_epsilon(chain, 1e-8)
     h4_before = before.hitting[list(before.transient).index(4)]
     after_chain = chain.copy()
-    collapse_pseudosink(after_chain, [0, 1], np.array([0.5, 0.5]))
+    collapse_pseudosink(after_chain, [[0, 1]])
     after = oracle_hitting_at_epsilon(after_chain, 1e-8)
     nodes_after = after_chain.live_nodes()
     h4_after = after.hitting[[nodes_after[i] for i in after.transient].index(4)]
