@@ -149,7 +149,10 @@ def _load_pure_weights(path, game) -> np.ndarray:
         raise GameFormatError("weights: expected a JSON array (or {'weights': [...]})")
     if not all(type(x) in (int, float) for x in obj):  # bool is not a JSON number
         raise GameFormatError("weights: entries must be numbers")
-    w = np.asarray(obj, dtype=float)
+    try:
+        w = np.asarray(obj, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise GameFormatError(f"weights: {exc}") from exc
     if w.shape != (game.num_profiles,):
         raise GameFormatError(
             f"weights: expected {game.num_profiles} entries, got {w.shape[0]}"
@@ -217,51 +220,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    game = load_game(args.game)
-    hitting = None
-    if args.hit:
-        hitting = _load_hitting(args.hit, game, args.tie_tolerance)
-    text = export_dot(game, hitting, args.tie_tolerance)
+    text = export_dot(load_game(args.game), args.tie_tolerance)
     with _output(args) as fh:
         fh.write(text)
     return 0
-
-
-def _load_hitting(path, game, tie_tolerance: float) -> epsmc.HittingMatrix:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GameFormatError(f"hit: cannot read hitting matrix {path}: {exc}") from exc
-    # Columns are read by label and drawn by sink index: both must be the ones
-    # `hit` writes, in its order, or a color would stand for another sink.
-    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
-    labels = [_sink_label(j, s, game) for j, s in enumerate(sinks)]
-    n = game.num_profiles
-    try:
-        if obj["sinks"] != sinks:
-            raise GameFormatError(
-                f"hit: sinks must be the game's sink equilibria at tie tolerance {tie_tolerance}"
-                ", in the order `hit` writes them"
-            )
-        if obj["sink_labels"] != labels:
-            raise GameFormatError(
-                "hit: sink_labels must be the labels `hit` writes, one per sink"
-            )
-        rows = obj["rows"]
-        probs = np.zeros((n, len(sinks)))
-        for pid in range(n):
-            row = [rows[profile_label(pid, game)][lab] for lab in labels]
-            if not all(type(x) in (int, float) for x in row):  # bool is not a JSON number
-                raise GameFormatError(f"hit: row {profile_label(pid, game)} holds a non-number")
-            probs[pid] = row
-    except (KeyError, TypeError) as exc:
-        raise GameFormatError(f"hit: malformed hitting matrix file ({exc})") from exc
-    # NaN fails both comparisons.
-    bad = np.flatnonzero(~(np.all(probs >= 0, axis=1) & (np.abs(probs.sum(axis=1) - 1) <= 1e-9)))
-    if bad.size:
-        raise GameFormatError(f"hit: row {profile_label(bad[0], game)} is not a distribution")
-    return epsmc.HittingMatrix(probs, sinks)
 
 
 def cmd_random_game(args) -> int:
@@ -331,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="render the better-response graph as DOT")
     common(p)
-    p.add_argument("--hit", help="reuse a hitting matrix JSON produced by `hit`")
     p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("random-game", help="generate a reproducible random game")
@@ -355,7 +316,8 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"NUMERIC_ERROR: {exc}", file=sys.stderr)
         return 3
-    # OverflowError's only source is a JSON integer too large for a float.
+    # OverflowError: an integer option too large for numpy, such as a huge
+    # --runs-per-sample reaching np.repeat.
     except (GameFormatError, ValueError, OverflowError) as exc:
         print(f"INPUT_ERROR: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,13 @@
 
 Sink members are filled with one fixed color per sink; every other node is
 drawn as a pie (graphviz `wedged` style) split by its limit hitting
-probabilities.  Regular edges carry their chain weight to two decimals and
-tie edges, the epsilon edges of the profile chain, appear as a bidirectional
-pair labeled "0.00".
+probabilities, which the export always computes from the game itself.
+Regular edges carry their chain weight to two decimals and tie edges, the
+epsilon edges of the profile chain, appear as a bidirectional pair labeled
+"0.00".
 """
 
-from .epsmc import HittingMatrix, limit_hitting_probabilities
+from .epsmc import limit_hitting_probabilities
 from .game import Game, build_cmc, profile_label
 from .scc import group_ids
 
@@ -22,17 +23,10 @@ def sink_color(index: int) -> str:
     return PALETTE[index % len(PALETTE)]
 
 
-def export_dot(game: Game, hitting: HittingMatrix | None = None,
-               tie_tolerance: float = 0.0) -> str:
-    """DOT text for `game`; computes the hitting matrix when not supplied."""
-    if hitting is None:
-        hitting = limit_hitting_probabilities(game, tie_tolerance)
+def export_dot(game: Game, tie_tolerance: float = 0.0) -> str:
+    """DOT text for `game`, colored by its limit hitting probabilities."""
+    hitting = limit_hitting_probabilities(game, tie_tolerance)
     n = game.num_profiles
-    if hitting.probabilities.shape != (n, len(hitting.sinks)):
-        raise ValueError(
-            f"hitting matrix shape {hitting.probabilities.shape} does not match "
-            f"{n} profiles x {len(hitting.sinks)} sinks"
-        )
     sink_of = group_ids(n, hitting.sinks).tolist()
 
     chain = build_cmc(game, tie_tolerance)

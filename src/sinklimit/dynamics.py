@@ -108,7 +108,7 @@ def _check_pure_weights(weights) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError("pure prior weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"pure prior weights sum to {w.sum()!r}, not 1")
+        raise ValueError(f"pure prior weights sum to {float(w.sum())!r}, not 1")
     return w
 
 

@@ -309,6 +309,7 @@ def game_from_json(obj) -> Game:
     if not isinstance(utilities, list) or len(utilities) != players:
         raise GameFormatError(f"utilities: expected one tensor per player")
     n = math.prod(strategies)
+    tensors = []
     for i, tensor in enumerate(utilities):
         if not isinstance(tensor, list) or len(tensor) != n:
             raise GameFormatError(
@@ -316,7 +317,11 @@ def game_from_json(obj) -> Game:
             )
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in tensor):
             raise GameFormatError(f"utilities[{i}]: entries must be numbers")
-    return Game(tuple(strategies), tuple(np.array(t, dtype=float) for t in utilities))
+        try:
+            tensors.append(np.array(tensor, dtype=float))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise GameFormatError(f"utilities[{i}]: {exc}") from exc
+    return Game(tuple(strategies), tuple(tensors))
 
 
 def load_game(path) -> Game:

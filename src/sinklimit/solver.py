@@ -51,7 +51,7 @@ class StochasticMatrix:
         bad = ~self.absorbing & ~(np.abs(sums - 1.0) <= 1e-12)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ValueError(f"row {i} sums to {sums[i]!r}, expected 1")
+            raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1")
         if np.any(self.absorbing & (np.diff(m.tocsr().indptr) > 0)):
             raise ValueError("absorbing row has outgoing entries")
 
@@ -212,7 +212,7 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     if not worst_row <= 1e-9:
         i = int(np.argmax(np.abs(row_sums - 1.0)))
         raise SolverConvergenceError(
-            f"hitting row for state {transient[i]} sums to {row_sums[i]!r}"
+            f"hitting row for state {transient[i]} sums to {float(row_sums[i])!r}"
         )
     bound_excess = float(max(0.0, np.max(-H, initial=0.0), np.max(H - 1.0, initial=0.0)))
     if not bound_excess <= 1e-9:

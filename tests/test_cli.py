@@ -13,7 +13,6 @@ from sinklimit import (
     ContractViolation,
     SolverConvergenceError,
     build_response_graph,
-    game_to_json,
     limit_hitting_probabilities,
     oracle_hitting_matrix,
     profile_label,
@@ -285,6 +284,7 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_gam
     ["pure", "--vertex-smoothing", "nan"],
     ["pure", "--vertex-smoothing", "2"],
     ["pure", "--vertex-smoothing=-0.5"],
+    ["uniform", "--runs-per-sample", str(10 ** 400)],  # OverflowError in numpy
 ])
 def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
     gpath = write_game(tmp_path, fig2_game)
@@ -375,111 +375,12 @@ def test_export_dot_single_sink_nodes_single_colored(tmp_path, capsys, matching_
     assert "wedged" not in out
 
 
-def test_export_dot_reuses_hit_file(tmp_path, capsys, fig2_game):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    code, out, _ = run_cli(capsys, "hit", gpath, "-o", str(hit_path))
-    assert code == 0
-    code, out, _ = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
+def test_export_dot_fig2_wedges(tmp_path, capsys, fig2_game):
+    code, out, _ = run_cli(capsys, "export-dot", write_game(tmp_path, fig2_game))
     assert code == 0
     validate_dot(out)
     # pie split 0.75 / 0.25 for the transient profiles
     assert 'style=wedged' in out and ";0.750000" in out
-
-
-@pytest.mark.parametrize("bad", [float("nan"), -0.25])
-def test_export_dot_rejects_hit_rows_that_are_not_distributions(tmp_path, capsys, fig2_game,
-                                                                 bad):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-    payload = json.loads(hit_path.read_text())
-    row = payload["rows"][profile_label(2, fig2_game)]
-    row[payload["sink_labels"][0]] = bad
-    hit_path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert code == 2 and out == ""
-    assert err == f"INPUT_ERROR: hit: row {profile_label(2, fig2_game)} is not a distribution\n"
-
-
-@pytest.mark.parametrize("convert", [str, bool])
-def test_export_dot_rejects_hit_rows_that_are_not_numbers(tmp_path, capsys, fig2_game,
-                                                          convert):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-    payload = json.loads(hit_path.read_text())
-    row = payload["rows"][profile_label(0, fig2_game)]
-    assert list(row.values()) == [1.0, 0.0]
-    for label in row:  # "1.0", "0.0" or true, false: still a distribution as numbers
-        row[label] = convert(row[label])
-    hit_path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert code == 2 and out == ""
-    assert err == (f"INPUT_ERROR: hit: row {profile_label(0, fig2_game)} "
-                   "holds a non-number\n")
-
-
-SINKS_MESSAGE = ("INPUT_ERROR: hit: sinks must be the game's sink equilibria at tie tolerance "
-                 "0.0, in the order `hit` writes them\n")
-LABELS_MESSAGE = "INPUT_ERROR: hit: sink_labels must be the labels `hit` writes, one per sink\n"
-
-
-@pytest.mark.parametrize("sinks, defect", [
-    ([[0, 1, 3, 4], []], "non-empty lists"),
-    ([[0, 1, 3, 4], 8], "malformed"),
-    ([[0, 1, 3, 4], "8"], "in 0..8"),
-    ([[0, 1, 3, 4], [9]], "in 0..8"),
-    ([[0, 1, 3, 4], [-1]], "in 0..8"),
-    ([[0, 1, 3, 4], ["8"]], "in 0..8"),
-    ([[0, 1, 3, 4], [True]], "in 0..8"),
-    ([[0, 1, 3, 4], [4]], "disjoint"),
-])
-def test_export_dot_rejects_bad_hit_sinks(tmp_path, capsys, fig2_game, sinks, defect):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-    payload = json.loads(hit_path.read_text())
-    assert payload["sinks"] == [[0, 1, 3, 4], [8]]
-    payload["sinks"] = sinks
-    hit_path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert code == 2 and out == ""
-    assert err == SINKS_MESSAGE
-
-
-def test_export_dot_rejects_hit_labels_that_do_not_match_sinks(tmp_path, capsys, fig2_game):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-    payload = json.loads(hit_path.read_text())
-    payload["sink_labels"].append(payload["sink_labels"][0])
-    hit_path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert code == 2 and out == ""
-    assert err == LABELS_MESSAGE
-
-
-@pytest.mark.parametrize("edit, message", [
-    # profile 7 is not a sink: it must not be colored as one
-    ({"sinks": [[7], [8]]}, SINKS_MESSAGE),
-    # each sink would take the other's color while the pies keep theirs
-    ({"sinks": [[8], [3]]}, SINKS_MESSAGE),
-    ({"sink_labels": ["sink_1 {(3,3)}", "sink_0 {(1,2)}"]}, LABELS_MESSAGE),
-], ids=["non-sink", "sinks-swapped", "labels-swapped"])
-def test_export_dot_rejects_hit_sinks_that_are_not_the_games(tmp_path, capsys, edit, message):
-    game = random_game(12, 2, (3, 3), mode="integer")
-    gpath = write_game(tmp_path, game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-    payload = json.loads(hit_path.read_text())
-    assert payload["sinks"] == [[3], [8]]
-    assert payload["sink_labels"] == ["sink_0 {(1,2)}", "sink_1 {(3,3)}"]
-    payload.update(edit)
-    hit_path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert code == 2 and out == ""
-    assert err == message
 
 
 def response_graph_edge_lines(game) -> set:
@@ -508,8 +409,6 @@ def test_export_dot_edges_and_response_graph_builds(tmp_path, capsys, monkeypatc
     expected = response_graph_edge_lines(game)
     assert any('label="0.00"' in line for line in expected)
     gpath = write_game(tmp_path, game)
-    hit_path = tmp_path / "hit.json"
-    assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
     calls = []
     build = sinklimit.game.build_response_graph
 
@@ -521,14 +420,12 @@ def test_export_dot_edges_and_response_graph_builds(tmp_path, capsys, monkeypatc
     for name, module in list(sys.modules.items()):
         if name.startswith("sinklimit") and getattr(module, "build_response_graph", None) is build:
             monkeypatch.setattr(module, "build_response_graph", counting_build)
-    for extra, builds in (([], 2), (["--hit", str(hit_path)], 1)):
-        calls.clear()
-        code, out, _ = run_cli(capsys, "export-dot", gpath, *extra)
-        assert code == 0
-        assert len(calls) == builds
-        edges = [line.strip() for line in out.splitlines() if "->" in line]
-        assert len(edges) == len(expected)
-        assert set(edges) == expected
+    code, out, _ = run_cli(capsys, "export-dot", gpath)
+    assert code == 0
+    assert len(calls) == 2
+    edges = [line.strip() for line in out.splitlines() if "->" in line]
+    assert len(edges) == len(expected)
+    assert set(edges) == expected
 
 
 def test_random_game_roundtrip_and_determinism(tmp_path, capsys):
@@ -590,6 +487,7 @@ def test_random_game_requires_seed(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["hit", "GAME", "--seed", "1"],
+    ["export-dot", "GAME", "--hit", "x"],
     ["random-game", "--seed", "1", "-p", "2", "-s", "2,2", "--tie-tolerance", "1"],
 ])
 def test_flags_only_on_commands_that_read_them(tmp_path, capsys, fig3_game, argv):
@@ -612,6 +510,9 @@ def test_malformed_game_file(tmp_path, capsys):
     assert err.startswith("INPUT_ERROR: json")
 
 
+# An integer literal beyond the float range: json reads it as an int, and
+# converting it to a float raises OverflowError.
+HUGE = 10 ** 400
 MISSING = "[Errno 2] No such file or directory: 'PATH'"
 NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 
@@ -625,7 +526,10 @@ NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (
      "utilities: expected one tensor per player"),
     ('{"players": 2, "strategies": [2, 2], "utilities": [[0, 0, 0, 0], [0, 0, "1", 0]]}',
      "utilities[1]: entries must be numbers"),
-], ids=["unreadable", "not-object", "strategies-length", "utilities-count", "string-entry"])
+    (json.dumps({"players": 2, "strategies": [2, 2], "utilities": [[0, 0, 0, 0], [0, 0, HUGE, 0]]}),
+     "utilities[1]: int too large to convert to float"),
+], ids=["unreadable", "not-object", "strategies-length", "utilities-count", "string-entry",
+        "huge-integer"])
 def test_bad_game_files_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "game.json"
     if text is not None:
@@ -641,7 +545,10 @@ def test_bad_game_files_exit_two(tmp_path, capsys, text, message):
     ('{"w": [1]}', "weights: expected a JSON array (or {'weights': [...]})"),
     ("5", "weights: expected a JSON array (or {'weights': [...]})"),
     (json.dumps([1 / 8] * 8), "weights: expected 9 entries, got 8"),
-], ids=["unreadable", "not-json", "object-without-weights", "not-array", "wrong-length"])
+    (json.dumps([1 / 2] * 9), "pure prior weights sum to 4.5, not 1"),
+    (json.dumps([HUGE] + [0] * 8), "weights: int too large to convert to float"),
+], ids=["unreadable", "not-json", "object-without-weights", "not-array", "wrong-length",
+        "not-summing-to-one", "huge-integer"])
 def test_bad_weights_files_exit_two(tmp_path, capsys, fig3_game, text, message):
     gpath = write_game(tmp_path, fig3_game)
     wpath = tmp_path / "weights.json"
@@ -665,55 +572,10 @@ def test_weights_object_form_matches_array_form(tmp_path, capsys, fig3_game):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("drop_rows", [False, True], ids=["unreadable", "missing-rows"])
-def test_bad_hit_files_exit_two(tmp_path, capsys, fig2_game, drop_rows):
-    gpath = write_game(tmp_path, fig2_game)
-    hit_path = tmp_path / "hit.json"
-    if drop_rows:
-        assert run_cli(capsys, "hit", gpath, "-o", str(hit_path))[0] == 0
-        payload = json.loads(hit_path.read_text())
-        del payload["rows"]
-        hit_path.write_text(json.dumps(payload))
-        message = "hit: malformed hitting matrix file ('rows')"
-    else:
-        message = f"hit: cannot read hitting matrix PATH: {MISSING}"
-    code, out, err = run_cli(capsys, "export-dot", gpath, "--hit", str(hit_path))
-    assert (code, out) == (2, "")
-    assert err == "INPUT_ERROR: " + message.replace("PATH", str(hit_path)) + "\n"
-
-
 def test_random_game_strategies_must_be_integers(capsys):
     code, out, err = run_cli(capsys, "random-game", "--seed", "1", "-p", "2", "-s", "2,x")
     assert (code, out) == (2, "")
     assert err == "INPUT_ERROR: strategies: expected comma-separated integers\n"
-
-
-# An integer literal beyond the float range: json reads it as an int, and
-# converting it to a float raises OverflowError.
-HUGE = 10 ** 400
-
-
-@pytest.mark.parametrize("kind", ["game", "weights", "hit"])
-def test_json_integers_beyond_float_range_exit_two(tmp_path, capsys, fig2_game, kind):
-    gpath = write_game(tmp_path, fig2_game)
-    path = tmp_path / f"{kind}.json"
-    if kind == "game":
-        obj = game_to_json(fig2_game)
-        obj["utilities"][0][0] = HUGE
-        argv = ["sinks", str(path)]
-    elif kind == "weights":
-        obj = [HUGE] + [0] * 8
-        argv = ["limit", gpath, f"pure:{path}"]
-    else:
-        assert run_cli(capsys, "hit", gpath, "-o", str(path))[0] == 0
-        obj = json.loads(path.read_text())
-        row = obj["rows"][profile_label(2, fig2_game)]
-        row[obj["sink_labels"][0]] = HUGE
-        argv = ["export-dot", gpath, "--hit", str(path)]
-    path.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "INPUT_ERROR: int too large to convert to float\n"
 
 
 def test_numeric_failures_exit_three(tmp_path, capsys, fig3_game, monkeypatch):

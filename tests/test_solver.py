@@ -291,7 +291,7 @@ def test_absorption_no_transient_states():
 
 
 def test_stochastic_matrix_validation():
-    with pytest.raises(ValueError, match="row 0"):
+    with pytest.raises(ValueError, match=r"^row 0 sums to 0\.9, expected 1$"):
         absorbing_chain([[0.5, 0.4], [0, 0]], [1])
     with pytest.raises(ValueError, match="negative"):
         absorbing_chain([[-0.5, 1.5], [0, 0]], [1])
