@@ -50,12 +50,16 @@ def _output(args):
 def _emit_json(args, payload: dict, rows=None) -> None:
     """Write `payload` as JSON indented by 2, then a newline.
 
-    `rows`, a (row keys, column keys, matrix) triple, is written after the
-    payload's members as "rows": one object per matrix row, mapping column
-    keys to its entries.  The text is what `json.dump` writes for that nested
-    dict, built a row at a time: with `indent`, json's encoder is pure Python
-    and takes several seconds on large `hit` outputs.  The payload and both
-    key lists must be non-empty.
+    `rows`, a (row keys, column keys, float matrix) triple, is written after
+    the payload's members as "rows": one object per matrix row, mapping
+    column keys to its entries.  The text is what `json.dump` writes for that
+    nested dict; with `indent`, json's encoder is pure Python and takes
+    seconds on large `hit` outputs.  Each column's zero-cell text, its key and
+    "0.0", is built once.  A row copies that list, overwrites the cells that
+    are not +0.0 (`-0.0` included) with `float.__repr__`, json's text for
+    every finite float, and is written on its own.  A column key can be
+    megabytes long (a sink label lists its members), so only the zero cells
+    outlive their row.  The payload and both key lists must be non-empty.
     """
     if rows is not None:
         row_keys, col_keys, matrix = rows
@@ -63,16 +67,24 @@ def _emit_json(args, payload: dict, rows=None) -> None:
             raise ContractViolation("rows: non-finite entry, which JSON cannot hold")
         encode = json.encoder.encode_basestring_ascii
         col_keys = ["\n      " + encode(key) + ": " for key in col_keys]
+        zero_cells = [key + "0.0" for key in col_keys]
+        cell_rows, cell_cols = np.nonzero((matrix != 0) | np.signbit(matrix))
+        values = matrix[cell_rows, cell_cols].tolist()
+        cols = cell_cols.tolist()
+        ends = np.searchsorted(cell_rows, np.arange(1, len(row_keys) + 1)).tolist()
     with _output(args) as fh:
         if rows is None:
             # Streamed: with `indent`, `json.dumps` holds every chunk until it joins them.
             json.dump(payload, fh, indent=2)
         else:
             fh.write(json.dumps(payload, indent=2)[:-2] + ',\n  "rows": {')
-            for i, (key, row) in enumerate(zip(row_keys, matrix)):
-                # float.__repr__ is json's text for every finite float.
-                cells = ",".join(map(str.__add__, col_keys, map(float.__repr__, row.tolist())))
-                fh.write(f'{"," if i else ""}\n    {encode(key)}: {{{cells}\n    }}')
+            start = 0
+            for i, (key, end) in enumerate(zip(row_keys, ends)):
+                cells = zero_cells.copy()
+                for j, value in zip(cols[start:end], values[start:end]):
+                    cells[j] = col_keys[j] + float.__repr__(value)
+                start = end
+                fh.write(f'{"," if i else ""}\n    {encode(key)}: {{{",".join(cells)}\n    }}')
             fh.write("\n  }\n}")
         fh.write("\n")
 
@@ -174,6 +186,10 @@ def _run_limit(args, force_simulation: bool) -> int:
             prior = dynamics.Prior.parse(spec)
         except ValueError as exc:
             raise GameFormatError(f"prior: {exc}") from exc
+    if args.runs_per_sample > np.iinfo(np.intp).max:  # numpy could not repeat the starts
+        raise GameFormatError(
+            f"runs-per-sample: {args.runs_per_sample} is above {np.iinfo(np.intp).max}"
+        )
     seed = _require_seed(args)
     params = _replicator_params(args, seed)
     dist = dynamics.estimate_limit_distribution(
@@ -316,8 +332,7 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"NUMERIC_ERROR: {exc}", file=sys.stderr)
         return 3
-    # OverflowError: an integer option too large for numpy, such as a huge
-    # --runs-per-sample reaching np.repeat.
+    # OverflowError: an integer too large for the C type numpy converts it to.
     except (GameFormatError, ValueError, OverflowError) as exc:
         print(f"INPUT_ERROR: {exc}", file=sys.stderr)
         return 2

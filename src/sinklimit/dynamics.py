@@ -410,10 +410,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     of the per-run outcomes.  The runs of each block of `checkpoint_every`
     samples are stepped as one batch, which a run leaves once it is
     classified or frozen.  Stops when the total-variation distance between
-    the running averages at successive checkpoints drops below `tv_tol`, or
-    at the `max_samples` budget.  The sinks are those of the response graph
-    at `tie_tolerance`.  Deterministic given `params.rng_seed`, and the same
-    as stepping each sample's runs on their own.
+    the running averages at successive checkpoints drops below `tv_tol`
+    once some run has classified, or at the `max_samples` budget.  The
+    sinks are those of the response graph at `tie_tolerance`.
+    Deterministic given `params.rng_seed`, and the same as stepping each
+    sample's runs on their own.
     """
     if not 0 < tv_tol < math.inf:
         raise ValueError("tv_tol must be finite and positive")
@@ -443,7 +444,8 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
         if checkpoints:
             tv = total_variation(dist, checkpoints[-1])
             tv_trace.append(tv)
-            if tv < tv_tol:
+            # With no run classified, every checkpoint is the same all-unclassified point.
+            if tv < tv_tol and counts[:k].any():
                 converged = True
         checkpoints.append(dist)
     final = checkpoints[-1]

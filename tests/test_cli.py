@@ -176,6 +176,53 @@ def test_emit_json_rows_match_json_dumps(capsys):
     assert capsys.readouterr().out == json.dumps({**payload, "rows": rows}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[0.0, 0.0, 0.25, 0.0, 0.0, 0.75], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
+                 id="mostly-zero"),
+    pytest.param([[0.0] * 4, [0.5, 0.0, 0.0, 0.5], [0.0] * 4], id="all-zero-rows"),
+    pytest.param([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.3, 0.0, 0.7]], id="first-or-last-cell"),
+    pytest.param([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]], id="dense"),
+    pytest.param([[0.0, -0.0, 0.0, 5e-324, 0.0], [-0.0, 0.0, 0.0, 0.0, 5e-324]],
+                 id="signed-zero-and-subnormal"),
+])
+def test_emit_json_sparse_rows_match_json_dumps(capsys, matrix):
+    # The writer builds a +0.0 cell from its column's zero text, every other cell itself.
+    row_keys = [f"({i})" for i in range(len(matrix))]
+    col_keys = [f"sink_{j}" for j in range(len(matrix[0]))]
+    payload = {"command": "hit"}
+    _emit_json(argparse.Namespace(output=None), payload,
+               rows=(row_keys, col_keys, np.array(matrix)))
+    rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix)}
+    assert capsys.readouterr().out == json.dumps({**payload, "rows": rows}, indent=2) + "\n"
+
+
+class WriteRecorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_emit_json_writes_one_row_at_a_time(monkeypatch):
+    matrix = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.2, 0.3, 0.5]])
+    row_keys, col_keys = [f"({i})" for i in range(4)], ["sink_0", "sink_1", "sink_2"]
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    _emit_json(argparse.Namespace(output=None), {"command": "hit"},
+               rows=(row_keys, col_keys, matrix))
+    rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix.tolist())}
+    # The payload head, one write per row, the closing braces, the final newline.
+    head, *row_writes, tail, newline = recorder.writes
+    assert head + "".join(row_writes) + tail + newline == json.dumps(
+        {"command": "hit", "rows": rows}, indent=2) + "\n"
+    assert len(row_writes) == len(row_keys)
+    for i, (key, row) in enumerate(rows.items()):
+        # This row's text at depth 2: json's indent-2 text of {key: row}, shifted by two.
+        text = json.dumps({key: row}, indent=2)[1:-2].replace("\n", "\n  ")
+        assert row_writes[i] == ("," if i else "") + text
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_emit_json_refuses_non_finite_rows(tmp_path, capsys, bad):
     # `json.dump` would write NaN or Infinity, which is not JSON.
@@ -284,7 +331,8 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_gam
     ["pure", "--vertex-smoothing", "nan"],
     ["pure", "--vertex-smoothing", "2"],
     ["pure", "--vertex-smoothing=-0.5"],
-    ["uniform", "--runs-per-sample", str(10 ** 400)],  # OverflowError in numpy
+    ["uniform", "--runs-per-sample", str(10 ** 400)],
+    ["uniform", "--runs-per-sample", str(np.iinfo(np.intp).max + 1)],
 ])
 def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
     gpath = write_game(tmp_path, fig2_game)
@@ -300,6 +348,22 @@ def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("INPUT_ERROR:")
+    if flags[:1] == ["--runs-per-sample"] and int(flags[1]) > np.iinfo(np.intp).max:
+        # A run count numpy cannot index is refused by name, not by numpy's message.
+        assert err.startswith("INPUT_ERROR: runs-per-sample: ")
+
+
+def test_no_checkpoint_converges_before_a_run_classifies(tmp_path, capsys, fig2_game):
+    # Ten steps are fewer than the 50-step window, so no run classifies and every
+    # checkpoint is the same all-unclassified point, TV 0 from the one before.
+    code, out, _ = run_cli(
+        capsys, "limit", write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
+        "--max-steps", "10", "--max-samples", "32",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["non_converged"], payload["tv_trace"]) == (1.0, [0.0, 0.0, 0.0])
+    assert (payload["converged"], payload["samples"]) == (False, 32)
 
 
 def test_simulation_sinks_follow_tie_tolerance(tmp_path, capsys, fig2_game):

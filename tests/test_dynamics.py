@@ -646,7 +646,7 @@ def per_sample_estimate(game, prior, params, tv_tol=0.01, *, runs_per_sample=40,
         dist = counts / counts.sum()
         if checkpoints:
             tv_trace.append(total_variation(dist, checkpoints[-1]))
-            converged = tv_trace[-1] < tv_tol
+            converged = tv_trace[-1] < tv_tol and counts[:k].sum() > 0
         checkpoints.append(dist)
     final = checkpoints[-1]
     return dict(
@@ -659,7 +659,7 @@ def per_sample_estimate(game, prior, params, tv_tol=0.01, *, runs_per_sample=40,
     )
 
 
-@pytest.mark.parametrize("case", ["fig2", "unclassified", "pure", "ragged"])
+@pytest.mark.parametrize("case", ["fig2", "unclassified", "pure", "ragged", "none-classified"])
 def test_wide_batch_equals_per_sample_batches(fig2_game, fig3_game, case):
     if case == "fig2":
         game, prior = fig2_game, Prior("uniform")
@@ -675,10 +675,14 @@ def test_wide_batch_equals_per_sample_batches(fig2_game, fig3_game, case):
         prior = Prior.pure(np.full(9, 1 / 9))
         params = ReplicatorParams(rng_seed=99)
         kwargs = dict(runs_per_sample=8, max_samples=16)
-    else:
+    elif case == "ragged":
         game, prior = fig3_game, Prior("uniform")
         params = ReplicatorParams(rng_seed=11, max_steps=2000)
         kwargs = dict(tv_tol=1e-9, runs_per_sample=4, max_samples=7, checkpoint_every=3)
+    else:  # fewer steps than the window: every checkpoint is all-unclassified
+        game, prior = fig2_game, Prior("uniform")
+        params = ReplicatorParams(rng_seed=1, max_steps=10)
+        kwargs = dict(runs_per_sample=3, max_samples=12, checkpoint_every=4)
     got = estimate_limit_distribution(game, prior, params, **kwargs)
     want = per_sample_estimate(game, prior, params, **kwargs)
     assert dict(
@@ -693,6 +697,8 @@ def test_wide_batch_equals_per_sample_batches(fig2_game, fig3_game, case):
         assert got.non_converged > 0
     if case == "ragged":
         assert got.samples == 7 and len(got.tv_trace) == 2
+    if case == "none-classified":
+        assert got.tv_trace == [0.0, 0.0] and not got.converged and got.samples == 12
 
 
 # -- exact path -------------------------------------------------------------------
