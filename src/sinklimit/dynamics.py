@@ -8,7 +8,10 @@ nearest pure profile stays inside that sink for a window of consecutive
 steps and the state passes close to a vertex at least once in the window.
 
 The estimator steps every run of a checkpoint block (samples times runs
-per sample) as one batch, and a run leaves the batch as soon as it is
+per sample) as one batch.  Noise is drawn one block of steps at a time;
+within a noise block each step only advances the batch and keeps its
+state, and one pass over the block's states then classifies every run.
+A run leaves the batch at the end of the noise block in which it is
 classified or frozen.  The batch is one zero-padded array of shape
 (players, runs, widest strategy count), so each step and each
 classification makes one numpy call per operation for all players, not
@@ -19,7 +22,9 @@ does not depend on which runs share its batch and results are
 bit-identical for a given root seed.
 """
 
+import functools
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,19 +187,26 @@ class Prior:
 # -- core numerics -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _utility_subscripts(p: int, player: int) -> str:
+    """einsum subscripts of `player`'s expected utilities: letter j is player
+    j's strategy axis and letter p the run axis, lettered as numpy letters
+    the sublist labels 0, 1, ..., so the summation order is the same."""
+    letters = string.ascii_uppercase + string.ascii_lowercase
+    if p >= len(letters):
+        raise ValueError(f"expected utilities take at most {len(letters) - 1} players, got {p}")
+    opponents = [letters[p] + letters[j] for j in range(p) if j != player]
+    return f"{letters[p - 1::-1]},{','.join(opponents)}->{letters[p]}{letters[player]}"
+
+
 def _expected_utilities_batch(game: Game, X, player: int) -> np.ndarray:
     """Expected utility of each pure strategy of `player` against the
     opponents' mixed vectors; X is a list of (runs, s_j) arrays."""
     p = game.num_players
-    runs = X[0].shape[0]
     if p == 1:
-        return np.tile(game.utilities[0], (runs, 1))
-    # Sublist form: label j is player j's strategy axis, label p the run axis.
-    operands = [game.tensor(player), list(range(p - 1, -1, -1))]
-    for j in range(p):
-        if j != player:
-            operands += [X[j], [p, j]]
-    return np.einsum(*operands, [p, player])
+        return np.tile(game.utilities[0], (X[0].shape[0], 1))
+    return np.einsum(_utility_subscripts(p, player), game.tensor(player),
+                     *X[:player], *X[player + 1:])
 
 
 def best_response_vector(game: Game, x, player: int) -> np.ndarray:
@@ -222,9 +234,7 @@ def _simplex_rows(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
     cond = s + (1.0 - cs) / j > 0
     rho = cond.sum(axis=1)
     lam = (1.0 - cs[np.arange(runs), rho - 1]) / rho
-    X = np.maximum(V + lam[:, None], 0.0)
-    X[~mask] = 0.0
-    return X
+    return np.where(mask, np.maximum(V + lam[:, None], 0.0), 0.0)
 
 
 def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float) -> np.ndarray:
@@ -232,7 +242,7 @@ def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float) -> np.ndarray:
     and the survivors re-projected; a row losing every coordinate falls back
     to the pure strategy at its largest input coordinate."""
     X = _simplex_rows(V, mask)
-    if floor <= 0.0:
+    if floor <= 0.0 or not np.any((X < floor) & (X > 0)):
         return X
     # A re-projected row loses a coordinate each pass and a fallen-back row
     # stays put, so the row width (pads included) bounds the passes.
@@ -324,70 +334,77 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
 
+def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, window: int, done: int,
+                  streak):
+    """Classify the runs of one noise block in one pass.
+
+    `H[t]` is the padded batch after step `done + t + 1`; it is overwritten.
+    `streak` holds each run's streak before the block: its sink, the step it
+    began at and the last step that came close to a vertex (0 before any).
+    Returns which runs settled in the block, the sink of each at the first
+    step it settled, and every run's streak after the block.
+    """
+    # Every support keeps at least one strategy, so p supported strategies
+    # in all means every support is a singleton: the run can never move
+    # again, and it settles at once wherever it is.
+    frozen = (H > 0).sum(axis=(1, 3)) == H.shape[1]
+    arg = H.argmax(axis=3)
+    s = sink_of[strides @ arg]
+    np.subtract(H, arg[..., None] == np.arange(H.shape[3]), out=H)
+    close = np.abs(H, out=H).max(axis=(1, 3)) < _VERTEX_TOLERANCE
+    # A streak begins where the sink changes; it is close once a step since
+    # its beginning was.
+    sink, start, last = streak
+    t = np.arange(done + 1, done + len(H) + 1)[:, None]
+    start = np.maximum.accumulate(np.where(s != np.vstack([sink, s[:-1]]), t, start))
+    last = np.maximum.accumulate(np.where(close, t, last))
+    settled = ((s >= 0) & (t - start >= window - 1) & (last >= start)) | frozen
+    hit = settled.any(axis=0)
+    return hit, s[settled.argmax(axis=0)[hit], hit], (s[-1], start[-1], last[-1])
+
+
 def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParams,
                     rngs) -> np.ndarray:
     """Run one replicator trajectory per generator.
 
     `x0[i]` is player i's start: one vector shared by every run, or one row
-    per run.  Runs leave the batch once classified or frozen, so each step
-    costs only the runs still moving.  Returns the sink index per run, -1
-    when not classified within `params.max_steps`.
+    per run.  Each noise block steps every live run and keeps its states,
+    then `_settle_block` classifies them in one pass; the runs that settled
+    (classified or frozen) leave the batch at the end of the block.  A run
+    stepped past its settling step draws only from its own stream, so no
+    result changes.  Returns the sink index per run, -1 when not classified
+    within `params.max_steps`.
     """
     runs = len(rngs)
-    p = game.num_players
     X = _pad(game, x0, runs)
     slots = _noise_slots(game)
     strides = np.array(game.strides)
     live = np.arange(runs)
-    players, rows = np.arange(p)[:, None], live
-    streak_sink = np.full(runs, -1)
-    streak_len = np.zeros(runs, dtype=int)
-    streak_close = np.zeros(runs, dtype=bool)
+    streak = (np.full(runs, -1), np.zeros(runs, dtype=int), np.zeros(runs, dtype=int))
     result = np.full(runs, -1)
-    pos = _NOISE_BLOCK
-    for _ in range(params.max_steps):
-        if live.size == 0:
-            break
-        if pos == _NOISE_BLOCK:
-            # Run j's draws fill raw[j] from its own stream, so the block
-            # length never changes a run's noise; then one gather moves
-            # every draw into its padded slot.
-            raw = np.empty((live.size, _NOISE_BLOCK, sum(game.strategy_counts)))
-            for j, r in enumerate(live.tolist()):
-                rngs[r].standard_normal(out=raw[j])
-            block = raw[:, :, slots]
-            pos = 0
-        X = _step_batch(game, X, params, block[:, pos].transpose(1, 0, 2))
-        pos += 1
-        arg = X.argmax(axis=2)
-        nearest = strides @ arg
-        offset = X.copy()
-        offset[players, rows, arg] -= 1.0
-        dist = np.abs(offset).max(axis=(0, 2))
-        # Every support keeps at least one strategy, so p supported
-        # strategies in all means every support is a singleton.
-        frozen = (X > 0).sum(axis=(0, 2)) == p
-        s = sink_of[nearest]
-        in_sink = s >= 0
-        same = in_sink & (s == streak_sink)
-        streak_len = np.where(same, streak_len + 1, in_sink)
-        streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
-        streak_sink = s
-        # A run whose supports are all singletons can never move again: the
-        # window rule on its constant trajectory would classify it to the
-        # nearest profile's sink (or never); settle it now instead of
-        # grinding out the remaining steps.  Either way a settled run ends
-        # at `s`.
-        settled = ((streak_len >= params.window) & streak_close) | frozen
-        result[live[settled]] = s[settled]
-        keep = ~settled
-        if not keep.all():
-            live = live[keep]
-            rows = np.arange(live.size)
-            X = X[:, keep]
-            streak_sink, streak_len, streak_close = (
-                streak_sink[keep], streak_len[keep], streak_close[keep])
-            block = block[keep]
+    done = 0
+    while live.size and done < params.max_steps:
+        steps = min(_NOISE_BLOCK, params.max_steps - done)
+        # Run j's draws fill raw[j] from its own stream, so the block
+        # length never changes a run's noise; then one gather moves every
+        # draw into its padded slot, in (steps, players, runs, widest) order.
+        raw = np.empty((live.size, steps, sum(game.strategy_counts)))
+        for j, r in enumerate(live.tolist()):
+            rngs[r].standard_normal(out=raw[j])
+        block = raw[:, :, slots].transpose(1, 2, 0, 3)
+        del raw
+        H = np.empty((steps,) + X.shape)
+        for t in range(steps):
+            X = _step_batch(game, X, params, block[t])
+            H[t] = X
+        del block
+        hit, sinks, streak = _settle_block(H, sink_of, strides, params.window, done, streak)
+        del H
+        result[live[hit]] = sinks
+        keep = ~hit
+        live, X = live[keep], X[:, keep]
+        streak = tuple(a[keep] for a in streak)
+        done += steps
     return result
 
 
@@ -408,10 +425,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     Draws start profiles from `prior`, runs `runs_per_sample` independent
     noisy-replicator instances per draw, and accumulates the running average
     of the per-run outcomes.  The runs of each block of `checkpoint_every`
-    samples are stepped as one batch, which a run leaves once it is
-    classified or frozen.  Stops when the total-variation distance between
-    the running averages at successive checkpoints drops below `tv_tol`
-    once some run has classified, or at the `max_samples` budget.  The
+    samples are stepped as one batch, which a run leaves at the end of the
+    noise block in which it is classified or frozen.  Stops when the
+    total-variation distance between the running averages at successive
+    checkpoints drops below `tv_tol` once some run has classified, or at
+    the `max_samples` budget.  The
     sinks are those of the response graph at `tie_tolerance`.
     Deterministic given `params.rng_seed`, and the same as stepping each
     sample's runs on their own.
@@ -433,8 +451,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
         block = range(samples, min(samples + checkpoint_every, max_samples))
         starts = [prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))
                   for s_idx in block]
-        x0 = [np.repeat([x[i] for x in starts], runs_per_sample, axis=0)
-              for i in range(game.num_players)]
+        try:
+            x0 = [np.repeat([x[i] for x in starts], runs_per_sample, axis=0)
+                  for i in range(game.num_players)]
+        except MemoryError as exc:  # numpy could not allocate the block's starts
+            raise ValueError(f"runs-per-sample: {exc}") from exc
         rngs = [np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
                 for s_idx in block for r in range(runs_per_sample)]
         res = _simulate_batch(game, x0, lookup, params, rngs)

@@ -353,6 +353,20 @@ def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
         assert err.startswith("INPUT_ERROR: runs-per-sample: ")
 
 
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_runs_per_sample_beyond_memory_exits_two(tmp_path, capsys, fig2_game, command):
+    # Within numpy's index range, but the start arrays of one block need
+    # petabytes, so numpy's allocation fails at once.
+    code, out, err = run_cli(
+        capsys, command, write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
+        "--max-samples", "2", "--runs-per-sample", str(10 ** 15),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INPUT_ERROR: runs-per-sample: ")
+    assert err.count("\n") == 1
+
+
 def test_no_checkpoint_converges_before_a_run_classifies(tmp_path, capsys, fig2_game):
     # Ten steps are fewer than the 50-step window, so no run classifies and every
     # checkpoint is the same all-unclassified point, TV 0 from the one before.

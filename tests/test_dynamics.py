@@ -424,6 +424,74 @@ def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
     assert np.any(got >= 0)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_classification_matches_per_step_reference(block, fig2_game, monkeypatch):
+    """One classification pass per noise block settles every run at the step
+    the per-step rule does: budgets that end inside a block, windows longer
+    than a block (streaks carried from block to block) and frozen starts."""
+    monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", block)
+    game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
+    # A start close to a vertex of fig2's 4-cycle sink stays in the cycle, so
+    # its window completes at step `window`; vertex 5 of `game` is frozen
+    # outside its sinks.
+    cases = [(game, mixed_starts(game, np.random.default_rng(5), 12), vertex_profile(game, 5)),
+             (fig2_game, mixed_starts(fig2_game, np.random.default_rng(5), 12),
+              tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2)))]
+
+    def rngs():
+        return [np.random.default_rng(np.random.SeedSequence([3, r])) for r in range(13)]
+
+    for g, rows, start in cases:
+        lookup = group_ids(g.num_profiles, sink_equilibria(build_response_graph(g)))
+        x0 = [np.vstack([r, x]) for r, x in zip(rows, start)]
+        for window in (20, 100):
+            outcomes = []
+            for max_steps in (60, 131, 1500):
+                params = ReplicatorParams(window=window, max_steps=max_steps)
+                got = _simulate_batch(g, x0, lookup, params, rngs())
+                want = reference_simulate_batch(g, x0, lookup, params, rngs())
+                np.testing.assert_array_equal(got, want)
+                outcomes.append(got)
+            assert np.count_nonzero(outcomes[0] >= 0) < np.count_nonzero(outcomes[2] >= 0)
+            if g is game:
+                assert outcomes[2][-1] == -1
+            else:
+                assert [o[-1] for o in outcomes] == [0 if window < 60 else -1, 0, 0]
+
+
+@pytest.mark.parametrize("window", [1, 20, 64, 65, 130])
+def test_window_completing_at_the_budget_classifies(fig2_game, window):
+    # The start is close to the vertex (1,1) of the 4-cycle sink and its
+    # nearest profile never leaves the cycle, so its window completes at
+    # step `window`.
+    sinks = sink_equilibria(build_response_graph(fig2_game))
+    x0 = tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2))
+
+    def outcome(max_steps):
+        params = ReplicatorParams(window=window, max_steps=max_steps)
+        return simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(1))
+
+    assert (outcome(window - 1), outcome(window)) == (None, 0)
+
+
+@pytest.mark.parametrize("window, max_steps, want", [
+    (3, 64, 0), (4, 64, 1), (62, 64, None), (62, 65, 1),
+])
+def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, max_steps, want):
+    # A scripted trajectory: three steps close to a vertex of the 4-cycle
+    # sink, then close to the strict equilibrium (3,3).  A run that settles
+    # mid-block keeps stepping to the block's end; its later states must not
+    # change where it settled.
+    sinks = sink_equilibria(build_response_graph(fig2_game))
+    cycle = tuple(np.array([0.98, 0.01, 0.01]) for _ in range(2))
+    strict = tuple(np.array([0.01, 0.01, 0.98]) for _ in range(2))
+    path = iter([cycle] * 3 + [strict] * 100)
+    monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
+                        lambda game, X, params, noise_row: sinklimit.dynamics._pad(game, next(path), 1))
+    params = ReplicatorParams(window=window, max_steps=max_steps)
+    assert simulate_to_sink(fig2_game, cycle, sinks, params, np.random.default_rng(0)) == want
+
+
 # -- trajectory classification ------------------------------------------------------
 
 
