@@ -449,16 +449,20 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     samples = 0
     while samples < max_samples and not converged:
         block = range(samples, min(samples + checkpoint_every, max_samples))
-        starts = [prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))
-                  for s_idx in block]
+        # numpy may fail to allocate the block's starts, its noise, history
+        # or draws: a run count beyond memory, reported as an input error.
         try:
+            starts = [
+                prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))
+                for s_idx in block
+            ]
             x0 = [np.repeat([x[i] for x in starts], runs_per_sample, axis=0)
                   for i in range(game.num_players)]
-        except MemoryError as exc:  # numpy could not allocate the block's starts
+            rngs = [np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
+                    for s_idx in block for r in range(runs_per_sample)]
+            res = _simulate_batch(game, x0, lookup, params, rngs)
+        except MemoryError as exc:
             raise ValueError(f"runs-per-sample: {exc}") from exc
-        rngs = [np.random.default_rng(np.random.SeedSequence([root, s_idx, r + 1]))
-                for s_idx in block for r in range(runs_per_sample)]
-        res = _simulate_batch(game, x0, lookup, params, rngs)
         counts += np.bincount(np.where(res >= 0, res, k), minlength=k + 1)
         samples += len(block)
         dist = counts / counts.sum()

@@ -29,11 +29,6 @@ def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
     return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
 
 
-def _row(matrix: sp.csr_matrix, v: int) -> dict[int, float]:
-    lo, hi = matrix.indptr[v], matrix.indptr[v + 1]
-    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
-
-
 class EpsilonMC:
     """Mutable two-class Markov chain over the original node ids.
 
@@ -42,7 +37,9 @@ class EpsilonMC:
     node with at least one regular out-edge the regular out-weights sum to
     one.  `origin[i]` is the live node that currently represents original
     node `i`; the live nodes are the fixed points of `origin`, and every
-    other node has an empty row and column.
+    other node has an empty row and column.  These two CSR matrices,
+    `origin` and the `absorbing` set are the chain's whole interface:
+    callers read rows and edge counts from the matrices directly.
     """
 
     def __init__(self, reg: sp.csr_matrix, eps: sp.csr_matrix, absorbing=(), origin=None):
@@ -79,23 +76,6 @@ class EpsilonMC:
 
     def live_nodes(self) -> list[int]:
         return np.flatnonzero(self.origin == np.arange(self.num_original)).tolist()
-
-    @property
-    def num_live(self) -> int:
-        return len(self.live_nodes())
-
-    def regular_out(self, v: int) -> dict[int, float]:
-        return _row(self.reg, v)
-
-    def eps_out(self, v: int) -> dict[int, float]:
-        return _row(self.eps, v)
-
-    def num_eps_edges(self) -> int:
-        return self.eps.nnz
-
-    def current(self, original_id: int) -> int:
-        """Live node currently representing an original node id."""
-        return int(self.origin[original_id])
 
     def copy(self) -> "EpsilonMC":
         return EpsilonMC(self.reg.copy(), self.eps.copy(), self.absorbing, self.origin.copy())
@@ -317,14 +297,15 @@ def _exit_rows(chain: EpsilonMC, groups: list[list[int]], pis: list[np.ndarray])
     return rep, keys % n, mass / np.bincount(group, weights=mass)[group]
 
 
-def delete_epsilon_edges(chain: EpsilonMC) -> EpsilonMC:
+def delete_epsilon_edges(chain: EpsilonMC, orders: OrderLabels) -> EpsilonMC:
     """Remove every epsilon edge, in place.
 
-    Only valid when the maximum order is zero, i.e. every node already has a
-    regular path to absorption; then the removal provably leaves the limit
-    hitting probabilities unchanged and no reweighting is needed.
+    `orders` must be `node_orders(chain)` of the chain as it stands; this
+    does not recompute them.  Only valid when their maximum order is zero,
+    i.e. every node already has a regular path to absorption; then the
+    removal provably leaves the limit hitting probabilities unchanged and no
+    reweighting is needed.
     """
-    orders = node_orders(chain)
     if orders.max_order > 0:
         raise ContractViolation(
             f"cannot delete eps edges at max order {orders.max_order} > 0"
@@ -362,7 +343,8 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
     finally drop the vanishing edges and solve the ordinary absorbing chain.
     Each collapse round provably reduces the maximum order by at least one,
     so the loop runs at most max-order rounds; both guarantees are asserted
-    and violations raise rather than loop.
+    and violations raise rather than loop.  Orders are computed once per
+    round, and `delete_epsilon_edges` checks the ones the loop ended on.
     """
     chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
     orders = node_orders(chain)
@@ -385,7 +367,7 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
             )
         orders = new_orders
         trace.append(orders.max_order)
-    delete_epsilon_edges(chain)
+    delete_epsilon_edges(chain, orders)
     nodes = chain.live_nodes()
     result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))
     return HittingMatrix(

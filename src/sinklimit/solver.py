@@ -73,6 +73,24 @@ class AbsorptionResult:
     bound_excess: float
 
 
+def _lu_solve(A: sp.csc_matrix, b: np.ndarray, singular: str, **options) -> np.ndarray:
+    """``splu(A, **options).solve(b)``, every failure a `SolverConvergenceError`.
+
+    A singular `A` is reported as `singular`.  SuperLU raises SystemError
+    ("gstrf was called with invalid arguments") when it cannot expand its
+    memory, and numpy raises MemoryError; both are reported as allocation
+    failures of the factorization or the solve.
+    """
+    try:
+        return sp.linalg.splu(A, **options).solve(b)
+    except RuntimeError as exc:
+        raise SolverConvergenceError(f"{singular} ({exc})") from exc
+    except (SystemError, MemoryError) as exc:
+        raise SolverConvergenceError(
+            f"sparse LU of {A.shape[0]} states could not allocate its memory ({exc!r})"
+        ) from exc
+
+
 def stationary_distribution(chain) -> np.ndarray:
     """Stationary distribution of one irreducible row-stochastic chain.
 
@@ -92,7 +110,7 @@ def stationary_distribution(chain) -> np.ndarray:
         iteration on the raw matrix would oscillate.  A singular system, a
         non-positive or non-finite entry or a residual above 1e-10 (or NaN)
         raises `SolverConvergenceError`: the component is not strongly
-        connected.
+        connected.  So does a factorization that cannot allocate its memory.
     """
     T = sp.coo_matrix(chain, dtype=float)
     n = T.shape[0]
@@ -123,13 +141,7 @@ def stationary_distribution(chain) -> np.ndarray:
     )
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        lu = sp.linalg.splu(A)
-    except RuntimeError as exc:
-        raise SolverConvergenceError(
-            f"singular balance system; component not strongly connected ({exc})"
-        ) from exc
-    pi = lu.solve(b)
+    pi = _lu_solve(A, b, "singular balance system; component not strongly connected")
 
     # NaN fails every comparison, so each check holds only for good values.
     if not np.all((pi > 0) & (pi < np.inf)):
@@ -153,8 +165,8 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     ``I - Q`` and one multi-column solve against all of R, at every size.
     The result must then pass a 1e-9 residual check, a 1e-9 row-sum check
     and a 1e-9 bound check; entries are clamped to [0, 1] only after these,
-    so pathologies surface before cosmetic repair.  A singular factorization
-    raises `SolverConvergenceError`.
+    so pathologies surface before cosmetic repair.  A singular factorization,
+    or one that cannot allocate its memory, raises `SolverConvergenceError`.
 
     With ``stable=True`` the system is solved by state-reduction elimination
     instead (dense, cubic): each pivot ``1 - p_kk`` is formed as the sum of
@@ -192,14 +204,10 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
         # exact zeros for the sinks a state cannot reach.  COLAMD in
         # symmetric mode was the fastest ordering measured on game chains.
         A = (sp.eye(transient.size, format="csc") - Q).tocsc()
-        try:
-            lu = sp.linalg.splu(
-                A, permc_spec="COLAMD", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolverConvergenceError(f"absorption system is singular ({exc})") from exc
-        H = lu.solve(R)
+        H = _lu_solve(
+            A, R, "absorption system is singular", permc_spec="COLAMD",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+        )
 
     # NaN fails every comparison, so each check is negated; an inf in H
     # leaves inf - inf = NaN in the residual.

@@ -30,6 +30,12 @@ def bimatrix(cells) -> Game:
     return Game((rows, cols), (u0, u1))
 
 
+def row(matrix, v: int) -> dict[int, float]:
+    """Row `v` of a CSR matrix as ``{column: value}``, in column order."""
+    lo, hi = matrix.indptr[v], matrix.indptr[v + 1]
+    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
+
+
 # 3x3 game with two sink SCCs: a directed 4-cycle over the top-left block and
 # the strict pure equilibrium (3,3).
 @pytest.fixture(scope="session")

@@ -367,6 +367,23 @@ def test_runs_per_sample_beyond_memory_exits_two(tmp_path, capsys, fig2_game, co
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_simulation_arrays_beyond_memory_exit_two(tmp_path, capsys, fig2_game, monkeypatch,
+                                                  command):
+    # The start arrays fit, but the noise block, history or draws of
+    # `_simulate_batch` do not.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 1.14 GiB for an array")
+
+    monkeypatch.setattr(sinklimit.dynamics, "_simulate_batch", out_of_memory)
+    code, out, err = run_cli(
+        capsys, command, write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
+        "--max-samples", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: runs-per-sample: Unable to allocate 1.14 GiB for an array\n"
+
+
 def test_no_checkpoint_converges_before_a_run_classifies(tmp_path, capsys, fig2_game):
     # Ten steps are fewer than the 50-step window, so no run classifies and every
     # checkpoint is the same all-unclassified point, TV 0 from the one before.
@@ -666,6 +683,21 @@ def test_numeric_failures_exit_three(tmp_path, capsys, fig3_game, monkeypatch):
     code, _, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game))
     assert code == 3
     assert err.startswith("NUMERIC_ERROR: synthetic failure")
+
+
+@pytest.mark.parametrize("error", [
+    SystemError("gstrf was called with invalid arguments"),
+    MemoryError("Unable to allocate 8.00 GiB for an array"),
+])
+def test_lu_allocation_failure_exits_three(tmp_path, capsys, fig3_game, monkeypatch, error):
+    def failing_splu(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sinklimit.solver.sp.linalg, "splu", failing_splu)
+    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game))
+    assert (code, out) == (3, "")
+    assert err.startswith("NUMERIC_ERROR: sparse LU of ") and str(error) in err
+    assert err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path, fig2_game):

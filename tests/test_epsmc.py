@@ -20,7 +20,7 @@ from sinklimit import (
     sink_equilibria,
 )
 
-from conftest import bimatrix
+from conftest import bimatrix, row
 
 FIG3_EXPECTED = np.array(
     [
@@ -67,8 +67,8 @@ def test_parallel_edges_merge():
         3, regular=[(0, 1, 0.5), (0, 1, 0.25), (0, 2, 0.25)], eps=[(0, 1, 1.0), (0, 1, 2.0)],
         absorbing=[1, 2],
     )
-    assert chain.regular_out(0) == {1: 0.75, 2: 0.25}
-    assert chain.eps_out(0) == {1: 3.0}
+    assert row(chain.reg, 0) == {1: 0.75, 2: 0.25}
+    assert row(chain.eps, 0) == {1: 3.0}
 
 
 def test_self_loops_rejected():
@@ -103,8 +103,8 @@ def test_copy_is_independent():
     dup.eps.data[:] = 2.0
     dup.absorbing.add(0)
     dup._collapse([[0, 1]], new_rows=(np.array([0]), np.array([2]), np.array([1.0])))
-    assert chain.regular_out(0) == {1: 1.0}
-    assert chain.eps_out(1) == {2: 1.0}
+    assert row(chain.reg, 0) == {1: 1.0}
+    assert row(chain.eps, 1) == {2: 1.0}
     assert chain.absorbing == {2}
     assert chain.origin.tolist() == [0, 1, 2]
     assert dup.live_nodes() == [0, 2] and dup.origin.tolist() == [0, 0, 2]
@@ -115,22 +115,22 @@ def test_copy_is_independent():
 
 def test_from_cmc_fig2_counts(fig2_game):
     chain = collapsed_chain(fig2_game)
-    assert chain.num_live == 6
+    assert len(chain.live_nodes()) == 6
     assert chain.absorbing == {0, 8}
     assert sorted(chain.live_nodes()) == [0, 2, 5, 6, 7, 8]
     for member in (1, 3, 4):
-        assert chain.current(member) == 0
+        assert chain.origin[member] == 0
 
 
 def test_from_cmc_fig3_is_identity_on_nodes(fig3_game):
     chain = collapsed_chain(fig3_game)
-    assert chain.num_live == 9
+    assert len(chain.live_nodes()) == 9
     assert chain.absorbing == {0, 4}
 
 
 def test_from_cmc_whole_graph_sink(matching_pennies):
     chain = collapsed_chain(matching_pennies)
-    assert chain.num_live == 1
+    assert len(chain.live_nodes()) == 1
     assert chain.absorbing == {0}
     hit = limit_hitting_probabilities(matching_pennies)
     np.testing.assert_array_equal(hit.probabilities, np.ones((4, 1)))
@@ -210,10 +210,10 @@ def test_orders_unreachable_node_raises():
 def test_collapse_fig3_pseudosink(fig3_game):
     chain = collapsed_chain(fig3_game)
     collapse_pseudosink(chain, [[8]])
-    assert chain.regular_out(8) == {2: 1.0}
-    assert chain.eps_out(8) == {}
+    assert row(chain.reg, 8) == {2: 1.0}
+    assert row(chain.eps, 8) == {}
     # the incoming tie edge from (3,1) is redirected, still epsilon class
-    assert chain.eps_out(2) == {8: 1.0}
+    assert row(chain.eps, 2) == {8: 1.0}
 
 
 def test_collapse_singleton_weight_ratios():
@@ -221,7 +221,7 @@ def test_collapse_singleton_weight_ratios():
         3, eps=[(0, 1, 2.0), (0, 2, 1.0)], absorbing=[1, 2]
     )
     collapse_pseudosink(chain, [[0]])
-    out = chain.regular_out(0)
+    out = row(chain.reg, 0)
     assert out[1] == pytest.approx(2 / 3, abs=1e-15)
     assert out[2] == pytest.approx(1 / 3, abs=1e-15)
 
@@ -240,7 +240,7 @@ def two_node_pseudosink_chain():
 def test_collapse_two_node_pseudosink_weights():
     chain = two_node_pseudosink_chain()
     collapse_pseudosink(chain, [[0, 1]])
-    out = chain.regular_out(0)
+    out = row(chain.reg, 0)
     assert out[2] == pytest.approx(0.25, abs=1e-15)
     assert out[3] == pytest.approx(0.75, abs=1e-15)
 
@@ -297,10 +297,10 @@ def test_batch_collapse_matches_one_at_a_time():
     assert batch.live_nodes() == serial.live_nodes() == [0, 1, 3, 4]
     assert batch.origin.tolist() == serial.origin.tolist() == [0, 1, 1, 3, 4]
     for v in (0, 1):
-        assert batch.regular_out(v) == pytest.approx(serial.regular_out(v), abs=1e-15)
-        assert batch.eps_out(v) == serial.eps_out(v) == {}
-    assert batch.regular_out(0) == pytest.approx({1: 0.75, 4: 0.25}, abs=1e-15)
-    assert batch.regular_out(1) == pytest.approx({0: 0.25, 3: 0.75}, abs=1e-15)
+        assert row(batch.reg, v) == pytest.approx(row(serial.reg, v), abs=1e-15)
+        assert row(batch.eps, v) == row(serial.eps, v) == {}
+    assert row(batch.reg, 0) == pytest.approx({1: 0.75, 4: 0.25}, abs=1e-15)
+    assert row(batch.reg, 1) == pytest.approx({0: 0.25, 3: 0.75}, abs=1e-15)
 
 
 def exit_rows_chain():
@@ -355,8 +355,8 @@ def test_delete_eps_noop_without_eps_edges():
     chain = EpsilonMC.from_edges(
         3, regular=[(0, 1, 0.5), (0, 2, 0.5)], absorbing=[1, 2]
     )
-    delete_epsilon_edges(chain)
-    assert chain.regular_out(0) == {1: 0.5, 2: 0.5}
+    delete_epsilon_edges(chain, node_orders(chain))
+    assert row(chain.reg, 0) == {1: 0.5, 2: 0.5}
 
 
 def test_delete_eps_keeps_regular_weights():
@@ -366,22 +366,22 @@ def test_delete_eps_keeps_regular_weights():
         eps=[(0, 1, 1.0)],
         absorbing=[1, 2],
     )
-    delete_epsilon_edges(chain)
-    assert chain.regular_out(0) == {1: 0.5, 2: 0.5}
-    assert chain.eps_out(0) == {}
+    delete_epsilon_edges(chain, node_orders(chain))
+    assert row(chain.reg, 0) == {1: 0.5, 2: 0.5}
+    assert row(chain.eps, 0) == {}
 
 
 def test_delete_eps_requires_order_zero():
     chain = EpsilonMC.from_edges(2, eps=[(0, 1, 1.0)], absorbing=[1])
     with pytest.raises(ContractViolation, match="order"):
-        delete_epsilon_edges(chain)
+        delete_epsilon_edges(chain, node_orders(chain))
 
 
 def test_delete_eps_preserves_hitting_fig3(fig3_game):
     chain = collapsed_chain(fig3_game)
     collapse_pseudosink(chain, [[8]])
-    delete_epsilon_edges(chain)
-    assert chain.num_eps_edges() == 0
+    delete_epsilon_edges(chain, node_orders(chain))
+    assert chain.eps.nnz == 0
     # against the small-eps oracle of the untouched chain
     limit = limit_hitting_probabilities(fig3_game).probabilities
     oracle = oracle_hitting_matrix(fig3_game, 1e-8).probabilities
@@ -458,6 +458,32 @@ def test_driver_builds_response_graph_once(fig3_game, monkeypatch):
     monkeypatch.setattr(sinklimit.game, "build_response_graph", counting_build)
     limit_hitting_probabilities(fig3_game)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("game_name, trace", [
+    ("fig2", [0]),
+    ("fig3", [1, 0]),
+    ("seed_1238", [4, 1, 0]),
+])
+def test_driver_computes_orders_once_per_chain(fig2_game, fig3_game, monkeypatch, game_name,
+                                               trace):
+    # One order pass before the first round and one after each collapse;
+    # `delete_epsilon_edges` checks the last of them instead of its own.
+    game = {
+        "fig2": fig2_game, "fig3": fig3_game,
+        "seed_1238": random_game(1238, 2, (3, 3), mode="integer", int_max=1),
+    }[game_name]
+    calls = []
+    orders = epsmc.node_orders
+
+    def counting_orders(chain):
+        calls.append(chain)
+        return orders(chain)
+
+    monkeypatch.setattr(epsmc, "node_orders", counting_orders)
+    hit = limit_hitting_probabilities(game)
+    assert hit.order_trace == trace
+    assert len(calls) == hit.rounds + 1 == len(trace)
 
 
 def test_fig3_keeps_final_solve_diagnostics(fig3_game):

@@ -19,7 +19,7 @@ from sinklimit import (
 )
 from sinklimit.scc import sink_components, strongly_connected_components
 
-from conftest import bimatrix
+from conftest import bimatrix, row
 
 
 def one_player(utilities) -> Game:
@@ -290,20 +290,20 @@ def test_dominant_profile_is_unique_singleton_sink():
 
 def test_cmc_fig2_normalized_single_edge(fig2_game):
     chain = build_cmc(fig2_game)
-    assert chain.regular_out(0) == {3: 1.0}
-    assert chain.eps_out(0) == {}
+    assert row(chain.reg, 0) == {3: 1.0}
+    assert row(chain.eps, 0) == {}
 
 
 def test_cmc_fig3_pure_tie_node(fig3_game):
     chain = build_cmc(fig3_game)
-    assert chain.regular_out(8) == {}
-    assert chain.eps_out(8) == {2: 1.0}
-    assert chain.eps_out(2) == {8: 1.0}
+    assert row(chain.reg, 8) == {}
+    assert row(chain.eps, 8) == {2: 1.0}
+    assert row(chain.eps, 2) == {8: 1.0}
 
 
 def test_cmc_strict_equilibrium_is_bare(fig2_game):
     chain = build_cmc(fig2_game)
-    assert chain.regular_out(8) == {} and chain.eps_out(8) == {}
+    assert row(chain.reg, 8) == {} and row(chain.eps, 8) == {}
 
 
 def test_cmc_rows_normalized_and_positive():
@@ -311,11 +311,11 @@ def test_cmc_rows_normalized_and_positive():
         game = random_game(seed, 2, (3, 4), mode="integer")
         chain = build_cmc(game)
         for v in range(game.num_profiles):
-            reg = chain.regular_out(v)
+            reg = row(chain.reg, v)
             if reg:
                 assert abs(sum(reg.values()) - 1.0) <= 1e-12
                 assert all(w > 0 for w in reg.values())
-            assert all(c > 0 for c in chain.eps_out(v).values())
+            assert all(c > 0 for c in row(chain.eps, v).values())
 
 
 def test_cmc_sink_sccs_match_response_graph():

@@ -325,6 +325,34 @@ def test_non_finite_lu_solves_raise(monkeypatch, value):
         absorption_probabilities(absorbing_chain(P, [0, 4]))
 
 
+@pytest.mark.parametrize("step, error", [
+    ("factor", SystemError("gstrf was called with invalid arguments")),
+    ("factor", MemoryError("Unable to allocate 8.00 GiB for an array")),
+    ("solve", MemoryError("Unable to allocate 8.00 GiB for an array")),
+    ("solve", SystemError("gstrs was called with invalid arguments")),
+])
+def test_lu_allocation_failures_raise(monkeypatch, step, error):
+    # SuperLU raises SystemError when it cannot expand its memory, numpy MemoryError.
+    class LU:
+        def solve(self, b):
+            raise error
+
+    def splu(*args, **kwargs):
+        if step == "factor":
+            raise error
+        return LU()
+
+    monkeypatch.setattr(sp.linalg, "splu", splu)
+    with pytest.raises(SolverConvergenceError, match="could not allocate") as info:
+        stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert info.value.__cause__ is error
+    P = np.zeros((5, 5))
+    P[[1, 2, 3], [0, 1, 2]] = P[[1, 2, 3], [2, 3, 4]] = 0.5
+    with pytest.raises(SolverConvergenceError, match="could not allocate") as info:
+        absorption_probabilities(absorbing_chain(P, [0, 4]))
+    assert info.value.__cause__ is error
+
+
 # -- epsilon oracle -------------------------------------------------------------
 
 
