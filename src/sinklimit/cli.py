@@ -92,18 +92,9 @@ def _emit_json(args, payload: dict, rows=None) -> None:
 def _require_seed(args) -> int:
     if args.seed is None:
         raise GameFormatError("seed: required for stochastic commands")
+    if args.seed < 0:  # numpy's own message would not name the field
+        raise GameFormatError(f"seed: expected a non-negative integer, got {args.seed}")
     return args.seed
-
-
-def _replicator_params(args, seed: int) -> dynamics.ReplicatorParams:
-    return dynamics.ReplicatorParams(
-        eta=args.eta,
-        delta=args.delta,
-        extinction_floor=args.extinction_floor,
-        max_steps=args.max_steps,
-        window=args.window,
-        rng_seed=seed,
-    )
 
 
 def cmd_sinks(args) -> int:
@@ -191,7 +182,10 @@ def _run_limit(args, force_simulation: bool) -> int:
             f"runs-per-sample: {args.runs_per_sample} is above {np.iinfo(np.intp).max}"
         )
     seed = _require_seed(args)
-    params = _replicator_params(args, seed)
+    params = dynamics.ReplicatorParams(
+        eta=args.eta, delta=args.delta, extinction_floor=args.extinction_floor,
+        max_steps=args.max_steps, window=args.window, rng_seed=seed,
+    )
     dist = dynamics.estimate_limit_distribution(
         game,
         prior,
@@ -248,8 +242,12 @@ def cmd_random_game(args) -> int:
         counts = [int(s) for s in args.strategies.split(",")]
     except ValueError as exc:
         raise GameFormatError(f"strategies: expected comma-separated integers") from exc
-    game = random_game(seed, args.players, counts, mode=args.mode, int_max=args.int_max)
-    _emit_json(args, game_to_json(game))
+    try:
+        game = random_game(seed, args.players, counts, mode=args.mode, int_max=args.int_max)
+        obj = game_to_json(game)
+    except MemoryError as exc:
+        raise GameFormatError(f"strategies: the game cannot be allocated ({exc})") from exc
+    _emit_json(args, obj)
     return 0
 
 

@@ -264,6 +264,9 @@ def random_game(seed, num_players: int, strategy_counts, mode: str = "continuous
         raise GameFormatError(
             f"strategies: got {len(counts)} counts for {num_players} players"
         )
+    top = np.iinfo(np.int64).max  # `int_max + 1` is an exclusive int64 bound
+    if not 0 <= int_max <= top:
+        raise GameFormatError(f"int-max: expected an integer in 0..{top}, got {int_max}")
     rng = np.random.default_rng(seed)
     n = math.prod(counts)
     tensors = []

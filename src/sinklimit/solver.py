@@ -5,9 +5,9 @@ Every chain, whatever its size, is solved by one sparse LU factorization
 invariant checks that raise instead of returning a doubtful answer.  The
 almost-linear directed-Laplacian solvers are deliberately out of scope; a
 direct factorization is exact up to rounding and has no convergence rate to
-fail on slowly mixing chains.  The epsilon oracle alone uses a dense
-subtraction-free state reduction instead.  All functions are pure and
-reentrant.
+fail on slowly mixing chains.  The epsilon oracle alone uses a
+subtraction-free state reduction, in place on one dense matrix, instead.
+All functions are pure and reentrant.
 
 ``scipy.sparse.linalg`` is reached as ``sp.linalg`` inside the functions, so
 that importing this module does not pay for loading it.
@@ -166,10 +166,11 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     The result must then pass a 1e-9 residual check, a 1e-9 row-sum check
     and a 1e-9 bound check; entries are clamped to [0, 1] only after these,
     so pathologies surface before cosmetic repair.  A singular factorization,
-    or one that cannot allocate its memory, raises `SolverConvergenceError`.
+    or a solve that cannot allocate its memory, raises `SolverConvergenceError`.
 
     With ``stable=True`` the system is solved by state-reduction elimination
-    instead (dense, cubic): each pivot ``1 - p_kk`` is formed as the sum of
+    instead (Grassmann, Taksar and Heyman 1985), in place on one dense matrix
+    and only at its nonzero entries: each pivot ``1 - p_kk`` is the sum of
     the off-diagonal row entries, so there is no cancellation and the result
     stays componentwise accurate even when escape probabilities are tiny, as
     happens when a vanishing-weight chain is instantiated at a very small
@@ -197,7 +198,11 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     R = csr[transient][:, absorbing].toarray()
 
     if stable:
-        H = _state_reduction_hitting(csr.toarray(), mask)
+        try:
+            H = _state_reduction_hitting(csr, mask)
+        except MemoryError as exc:
+            msg = f"state reduction of {mask.size} states could not allocate its memory"
+            raise SolverConvergenceError(f"{msg} ({exc})") from exc
     else:
         # I - Q is a nonsingular M-matrix with weakly dominant rows, so
         # diagonal pivots are stable; unlike row interchanges they also keep
@@ -231,42 +236,35 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     return AbsorptionResult(H, transient, absorbing, residual, bound_excess)
 
 
-def _state_reduction_hitting(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _state_reduction_hitting(csr: sp.csr_matrix, mask: np.ndarray) -> np.ndarray:
     """Censoring elimination of the transient states, then back-substitution.
 
     Every quantity is a sum or product of nonnegative numbers, which is what
     makes this accurate on nearly-reducible chains where LU loses digits to
-    cancellation in the pivots.
+    cancellation in the pivots.  States are eliminated from the highest index
+    down, in place: a pivot row stays in `W` for the back-substitution, and
+    only its nonzero columns in the live rows entering it are updated.
     """
-    n = P.shape[0]
-    work = P.astype(float).copy()
-    np.fill_diagonal(work, 0.0)  # self-loops never affect absorption
+    W = csr.toarray()
+    np.fill_diagonal(W, 0.0)  # self-loops never affect absorption
     transient = np.flatnonzero(~mask)
     absorbing = np.flatnonzero(mask)
-    alive = np.ones(n, dtype=bool)
-    stack = []
     for k in transient[::-1]:
-        alive[k] = False
-        row = work[k].copy()
-        row[~alive] = 0.0
-        denom = row.sum()
+        W[k, k] = 0.0  # updates can add a self-loop; eliminated columns are zero already
+        denom = W[k].sum()
         if denom <= 0.0:
             raise SolverConvergenceError(
                 f"transient state {k} has no path to an absorbing state"
             )
-        row /= denom
-        stack.append((k, row))
-        factor = work[:, k].copy()
-        factor[~alive] = 0.0
-        work += np.outer(factor, row)
-        work[:, k] = 0.0
-        work[k, :] = 0.0
-    hrows = np.zeros((n, absorbing.size))
-    for j, a in enumerate(absorbing):
-        hrows[a, j] = 1.0
-    for k, row in reversed(stack):
-        hrows[k] = row @ hrows
-    return hrows[transient]
+        W[k] /= denom
+        rows, cols = np.flatnonzero(W[:k, k]), np.flatnonzero(W[k])  # live rows are below k
+        W[np.ix_(rows, cols)] += np.outer(W[rows, k], W[k, cols])
+        W[rows, k] = 0.0
+    H = np.zeros((mask.size, absorbing.size))
+    H[absorbing, np.arange(absorbing.size)] = 1.0
+    for k in transient:
+        H[k] = W[k] @ H
+    return H[transient]
 
 
 def chain_matrix(chain: "EpsilonMC", nodes: list[int]) -> StochasticMatrix:

@@ -418,9 +418,14 @@ def test_limit_unknown_prior(tmp_path, capsys, fig3_game):
 
 
 def test_limit_simulation_requires_seed(tmp_path, capsys, fig2_game):
-    code, _, err = run_cli(capsys, "limit", write_game(tmp_path, fig2_game), "uniform")
+    gpath = write_game(tmp_path, fig2_game)
+    code, _, err = run_cli(capsys, "limit", gpath, "uniform")
     assert code == 2
     assert err.startswith("INPUT_ERROR: seed")
+    for command in ("limit", "simulate"):
+        code, out, err = run_cli(capsys, command, gpath, "uniform", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "INPUT_ERROR: seed: expected a non-negative integer, got -1\n"
 
 
 def test_simulate_forces_simulation_for_pure_prior(tmp_path, capsys, fig3_game):
@@ -578,6 +583,38 @@ def test_random_game_requires_seed(capsys):
     code, _, err = run_cli(capsys, "random-game", "-p", "2", "-s", "2,2")
     assert code == 2
     assert err.startswith("INPUT_ERROR: seed")
+    code, out, err = run_cli(capsys, "random-game", "--seed", "-1", "-p", "2", "-s", "2,2")
+    assert (code, out) == (2, "")
+    assert err == "INPUT_ERROR: seed: expected a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "int_max", ["-1", str(np.iinfo(np.int64).max + 1), "99999999999999999999"]
+)
+def test_random_game_int_max_out_of_range_exits_two(capsys, int_max):
+    code, out, err = run_cli(capsys, "random-game", "--seed", "1", "-p", "2", "-s", "2,2",
+                             "--mode", "integer", "--int-max", int_max)
+    assert (code, out) == (2, "")
+    top = np.iinfo(np.int64).max
+    assert err == f"INPUT_ERROR: int-max: expected an integer in 0..{top}, got {int_max}\n"
+
+
+def test_random_game_int_max_at_the_int64_bound(capsys):
+    top = str(np.iinfo(np.int64).max)
+    code, out, _ = run_cli(capsys, "random-game", "--seed", "1", "-p", "2", "-s", "2,2",
+                           "--mode", "integer", "--int-max", top)
+    assert code == 0
+    assert len(json.loads(out)["utilities"][0]) == 4
+
+
+def test_random_game_beyond_memory_exits_two(capsys):
+    # 10^14 profiles: one utility tensor alone needs 728 TiB, so numpy's
+    # allocation fails at once.
+    code, out, err = run_cli(capsys, "random-game", "--seed", "1", "-p", "2",
+                             "-s", "10000000,10000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("INPUT_ERROR: strategies: the game cannot be allocated (")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -698,6 +735,19 @@ def test_lu_allocation_failure_exits_three(tmp_path, capsys, fig3_game, monkeypa
     assert (code, out) == (3, "")
     assert err.startswith("NUMERIC_ERROR: sparse LU of ") and str(error) in err
     assert err.count("\n") == 1
+
+
+def test_state_reduction_allocation_failure_exits_three(tmp_path, capsys, fig3_game,
+                                                       monkeypatch):
+    def out_of_memory(csr, mask):
+        raise MemoryError("Unable to allocate 1.84 GiB for an array")
+
+    monkeypatch.setattr(sinklimit.solver, "_state_reduction_hitting", out_of_memory)
+    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game),
+                             "--oracle-eps", "1e-8")
+    assert (code, out) == (3, "")
+    assert err == ("NUMERIC_ERROR: state reduction of 9 states could not allocate its memory"
+                   " (Unable to allocate 1.84 GiB for an array)\n")
 
 
 def test_module_entry_point(tmp_path, fig2_game):

@@ -18,12 +18,53 @@ from sinklimit import (
     random_game,
     stationary_distribution,
 )
+from sinklimit.solver import _state_reduction_hitting
+
+from test_acceptance import _tie_game_set
 
 
 def absorbing_chain(P, absorbing) -> StochasticMatrix:
     mask = np.zeros(len(P), dtype=bool)
     mask[list(absorbing)] = True
     return StochasticMatrix(sp.csr_matrix(np.asarray(P, dtype=float)), mask)
+
+
+def reference_state_reduction_hitting(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The dense state reduction the solver ran before its in-place rewrite.
+
+    Every step copies the pivot row and column, zeroes their eliminated
+    entries and adds their full n x n outer product to the work matrix.
+    """
+    n = P.shape[0]
+    work = P.astype(float).copy()
+    np.fill_diagonal(work, 0.0)
+    transient = np.flatnonzero(~mask)
+    absorbing = np.flatnonzero(mask)
+    alive = np.ones(n, dtype=bool)
+    stack = []
+    for k in transient[::-1]:
+        alive[k] = False
+        row = work[k].copy()
+        row[~alive] = 0.0
+        row /= row.sum()
+        stack.append((k, row))
+        factor = work[:, k].copy()
+        factor[~alive] = 0.0
+        work += np.outer(factor, row)
+        work[:, k] = 0.0
+        work[k, :] = 0.0
+    hrows = np.zeros((n, absorbing.size))
+    for j, a in enumerate(absorbing):
+        hrows[a, j] = 1.0
+    for k, row in reversed(stack):
+        hrows[k] = row @ hrows
+    return hrows[transient]
+
+
+def identical_interest_game(players: int) -> Game:
+    """Every player of `players` x 2 strategies shares one seeded payoff in 0..12."""
+    u = np.random.default_rng(0).integers(0, 13, size=2**players).astype(float)
+    return Game((2,) * players, (u,) * players)
 
 
 def path_sum_hitting(P, absorbing, depth=60):
@@ -353,7 +394,54 @@ def test_lu_allocation_failures_raise(monkeypatch, step, error):
     assert info.value.__cause__ is error
 
 
+def test_state_reduction_allocation_failure_raises(monkeypatch):
+    error = MemoryError("Unable to allocate 1.84 GiB for an array")
+
+    def out_of_memory(csr, mask):
+        raise error
+
+    monkeypatch.setattr("sinklimit.solver._state_reduction_hitting", out_of_memory)
+    P = np.zeros((3, 3))
+    P[1, [0, 2]] = 0.5
+    with pytest.raises(SolverConvergenceError, match="state reduction of 3 states could not"
+                       " allocate its memory .Unable to allocate 1.84 GiB") as info:
+        absorption_probabilities(absorbing_chain(P, [0, 2]), stable=True)
+    assert info.value.__cause__ is error
+
+
 # -- epsilon oracle -------------------------------------------------------------
+
+
+def test_state_reduction_matches_dense_reference_bit_for_bit(monkeypatch):
+    chains = []
+
+    def capture(chain, stable=False):
+        chains.append(chain)
+        return absorption_probabilities(chain, stable)
+
+    monkeypatch.setattr("sinklimit.solver.absorption_probabilities", capture)
+    for game in _tie_game_set():
+        for eps in (1e-4, 1e-6, 1e-8):
+            oracle_hitting_matrix(game, eps)
+    oracle_hitting_matrix(identical_interest_game(9), 1e-8)
+    assert len(chains) == 3 * len(_tie_game_set()) + 1
+    assert chains[-1].matrix.shape == (482, 482)
+    for chain in chains:
+        got = _state_reduction_hitting(chain.matrix.tocsr(), chain.absorbing)
+        want = reference_state_reduction_hitting(chain.matrix.toarray(), chain.absorbing)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_oracle_agrees_with_limit_on_2_to_the_11_profiles():
+    # 2,048 profiles, 1,960 of them live in the oracle's chain.  On a 2-core
+    # machine the dense reference reduction takes about 20 s on it, the
+    # in-place one about 0.3 s.
+    game = identical_interest_game(11)
+    hit = limit_hitting_probabilities(game)
+    assert hit.order_trace == [3, 0]
+    oracle = oracle_hitting_matrix(game, 1e-8)
+    assert oracle.sinks == hit.sinks
+    assert np.max(np.abs(oracle.probabilities - hit.probabilities)) <= 1e-6
 
 
 def test_oracle_matches_plain_absorption_without_eps_edges():
