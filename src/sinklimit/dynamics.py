@@ -11,6 +11,9 @@ The estimator steps every run of a checkpoint block (samples times runs
 per sample) as one batch.  Noise is drawn one block of steps at a time;
 within a noise block each step only advances the batch and keeps its
 state, and one pass over the block's states then classifies every run.
+What is the same for every step of a noise block is made once per block:
+the noise, scaled by delta, and `_BlockConstants`; a step computes only
+what depends on the batch's state.
 A run leaves the batch at the end of the noise block in which it is
 classified or frozen.  The batch is one zero-padded array of shape
 (players, runs, widest strategy count), so each step and each
@@ -223,34 +226,41 @@ def best_response_vector(game: Game, x, player: int) -> np.ndarray:
     return out
 
 
-def _simplex_rows(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto the simplex over masked coords."""
-    runs, k = V.shape
+def _simplex_rows(V: np.ndarray, mask: np.ndarray, ranks: np.ndarray,
+                  row_ids: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean projection onto the simplex over masked coords.
+
+    `ranks` (1..k) and `row_ids` (0..len(V)-1) are built once per noise
+    block.  Per call: the masked coords sorted decreasing into s with running
+    sums cs; rho counts the j with s_j + (1 - cs_j)/j > 0 and the shift is
+    (1 - cs_rho)/rho, both read from one `1 - cs` array.
+    """
     Vm = np.where(mask, V, -np.inf)
-    s = np.sort(Vm, axis=1)[:, ::-1]
-    vals = np.where(np.isfinite(s), s, 0.0)
-    cs = np.cumsum(vals, axis=1)
-    j = np.arange(1, k + 1)
-    cond = s + (1.0 - cs) / j > 0
-    rho = cond.sum(axis=1)
-    lam = (1.0 - cs[np.arange(runs), rho - 1]) / rho
-    return np.where(mask, np.maximum(V + lam[:, None], 0.0), 0.0)
+    Vm.sort(axis=1)
+    s = Vm[:, ::-1]
+    r = 1.0 - np.where(np.isfinite(s), s, 0.0).cumsum(axis=1)
+    rho = (s + r / ranks > 0).sum(axis=1)
+    lam = r[row_ids, rho - 1] / rho
+    W = V + lam[:, None]
+    return np.where(mask, np.maximum(W, 0.0, out=W), 0.0)
 
 
-def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float) -> np.ndarray:
+def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float, ranks: np.ndarray,
+                  row_ids: np.ndarray) -> np.ndarray:
     """Projection plus extinction: entries that land below `floor` are zeroed
     and the survivors re-projected; a row losing every coordinate falls back
-    to the pure strategy at its largest input coordinate."""
-    X = _simplex_rows(V, mask)
-    if floor <= 0.0 or not np.any((X < floor) & (X > 0)):
+    to the pure strategy at its largest input coordinate.  `ranks` and
+    `row_ids` are as in `_simplex_rows`."""
+    X = _simplex_rows(V, mask, ranks, row_ids)
+    if floor <= 0.0:
         return X
     # A re-projected row loses a coordinate each pass and a fallen-back row
     # stays put, so the row width (pads included) bounds the passes.
     for _ in range(V.shape[1]):
         small = (X > 0) & (X < floor)
-        rows = np.flatnonzero(small.any(axis=1))
-        if rows.size == 0:
+        if not small.any():
             break
+        rows = np.flatnonzero(small.any(axis=1))
         keep = (X > 0) & ~small
         dead = rows[~keep[rows].any(axis=1)]
         if dead.size:
@@ -259,7 +269,7 @@ def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float) -> np.ndarray:
             X[dead, best] = 1.0
             rows = rows[keep[rows].any(axis=1)]
         if rows.size:
-            X[rows] = _simplex_rows(X[rows], keep[rows])
+            X[rows] = _simplex_rows(X[rows], keep[rows], ranks, row_ids[:rows.size])
     return X
 
 
@@ -280,7 +290,7 @@ def project_to_simplex(v, support=None, floor: float = 0.0) -> np.ndarray:
             mask[support] = True
     if not mask.any():
         raise ValueError("support must be nonempty")
-    return _project_rows(v[None, :], mask[None, :], floor)[0]
+    return _project_rows(v[None, :], mask[None, :], floor, np.arange(1, k + 1), np.arange(1))[0]
 
 
 def _noise_slots(game: Game) -> np.ndarray:
@@ -301,24 +311,56 @@ def _pad(game: Game, x, runs: int) -> np.ndarray:
     return X
 
 
-def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray):
+class _BlockConstants:
+    """What every step of a noise block over `runs` runs shares.
+
+    `players[i]` cuts player i's strategies out of the padded batch; each
+    of `terms` is a player's einsum subscripts, tensor and output view into
+    the utility buffer `eu` (with one player, `eu` is the constant payoff
+    row and `terms` is empty); `cells[i, r]` is the flat index of the first
+    slot of player i's row for run r; `ranks` and `row_ids` index the
+    projection's rows.
+    """
+
+    def __init__(self, game: Game, runs: int):
+        p, counts = game.num_players, game.strategy_counts
+        widest = max(counts)
+        self.eu = np.empty((p, runs, widest))
+        self.players = [np.s_[i, :, :s] for i, s in enumerate(counts)]
+        if p == 1:
+            self.eu[0] = game.utilities[0]
+            self.terms = []
+        else:
+            self.terms = [(_utility_subscripts(p, i), game.tensor(i), self.eu[key])
+                          for i, key in enumerate(self.players)]
+        self.ranks = np.arange(1, widest + 1)
+        self.row_ids = np.arange(p * runs)
+        self.cells = (self.row_ids * widest).reshape(p, runs)
+
+
+def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray,
+                consts: _BlockConstants):
     """One synchronous noisy-replicator step for a batch of runs.
 
     `X[i]` is player i's `(runs, widest)` array, zero beyond its strategy
-    count, and `noise_row` holds the noise in the same layout."""
-    p, runs, widest = X.shape
-    views = [X[j, :, :s] for j, s in enumerate(game.strategy_counts)]
-    eu = np.empty_like(X)
-    for i, s in enumerate(game.strategy_counts):
-        eu[i, :, :s] = _expected_utilities_batch(game, views, i)
+    count.  `noise_row` is the step's noise in the same layout, already
+    multiplied by `params.delta`: the caller scales a whole noise block at
+    once.  `consts` is what the steps of a noise block share, built once per
+    block for the batch's run count.  Per step: each player's expected
+    utilities into `consts.eu`, `eta` added at the best response on the
+    support through flat indices, the noise added, and the projection with
+    extinction."""
+    views = [X[key] for key in consts.players]
+    for i, (subscripts, tensor, out) in enumerate(consts.terms):
+        np.einsum(subscripts, tensor, *views[:i], *views[i + 1:], out=out)
     mask = X > 0
-    idx = np.argmax(np.where(mask, eu, -np.inf), axis=2)
     V = X.copy()
-    V[np.arange(p)[:, None], np.arange(runs), idx] += params.eta
-    V += params.delta * noise_row  # the projection reads V on the support only
+    V.reshape(-1)[consts.cells + np.where(mask, consts.eu, -np.inf).argmax(axis=2)] += params.eta
+    V += noise_row  # the projection reads V on the support only
+    widest = X.shape[2]
     rows = _project_rows(V.reshape(-1, widest), mask.reshape(-1, widest),
-                         params.extinction_floor)
-    return rows.reshape(p, runs, widest)
+                         params.extinction_floor, consts.ranks, consts.row_ids)
+    return rows.reshape(X.shape)
 
 
 def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
@@ -330,7 +372,8 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     """
     check_mixed_profile(game, x)
     noise = rng.standard_normal(sum(game.strategy_counts))[_noise_slots(game)][:, None, :]
-    X = _step_batch(game, _pad(game, x, 1), params, noise)
+    X = _step_batch(game, _pad(game, x, 1), params, params.delta * noise,
+                    _BlockConstants(game, 1))
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
 
@@ -386,16 +429,19 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
     while live.size and done < params.max_steps:
         steps = min(_NOISE_BLOCK, params.max_steps - done)
         # Run j's draws fill raw[j] from its own stream, so the block
-        # length never changes a run's noise; then one gather moves every
-        # draw into its padded slot, in (steps, players, runs, widest) order.
+        # length never changes a run's noise; they are scaled by delta, and
+        # one gather moves every draw into its padded slot, in
+        # (steps, players, runs, widest) order.
         raw = np.empty((live.size, steps, sum(game.strategy_counts)))
         for j, r in enumerate(live.tolist()):
             rngs[r].standard_normal(out=raw[j])
+        raw *= params.delta
         block = raw[:, :, slots].transpose(1, 2, 0, 3)
         del raw
+        consts = _BlockConstants(game, live.size)
         H = np.empty((steps,) + X.shape)
         for t in range(steps):
-            X = _step_batch(game, X, params, block[t])
+            X = _step_batch(game, X, params, block[t], consts)
             H[t] = X
         del block
         hit, sinks, streak = _settle_block(H, sink_of, strides, params.window, done, streak)

@@ -374,13 +374,16 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
     ref = mixed_starts(game, rng, 12)
     X = sinklimit.dynamics._pad(game, ref, 12)
     slots = sinklimit.dynamics._noise_slots(game)
+    consts = sinklimit.dynamics._BlockConstants(game, 12)
     projections = []
     simplex_rows = sinklimit.dynamics._simplex_rows
     monkeypatch.setattr(sinklimit.dynamics, "_simplex_rows",
-                        lambda V, mask: projections.append(len(V)) or simplex_rows(V, mask))
+                        lambda V, mask, *index: projections.append(len(V))
+                        or simplex_rows(V, mask, *index))
     for step in range(40):
         noise = rng.standard_normal((12, sum(counts)))
-        X = sinklimit.dynamics._step_batch(game, X, params, noise[:, slots].transpose(1, 0, 2))
+        X = sinklimit.dynamics._step_batch(
+            game, X, params, params.delta * noise[:, slots].transpose(1, 0, 2), consts)
         ref = reference_step_batch(game, ref, params, noise)
         for i, s in enumerate(counts):
             np.testing.assert_array_equal(X[i, :, :s], ref[i])
@@ -392,6 +395,21 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
             assert np.all(np.sort(X[wide, :4], axis=2)[..., -1] == 1.0)
     if floor == 0.2:
         assert len(projections) > 40  # some steps re-projected
+
+    # One run, stepped as `_simulate_batch` steps it: the constants of each
+    # 64-step noise block are built once and shared by its steps.
+    ref = [rng.dirichlet(np.ones(s))[None, :] for s in counts]
+    X = sinklimit.dynamics._pad(game, ref, 1)
+    for _ in range(3):
+        consts = sinklimit.dynamics._BlockConstants(game, 1)
+        for _ in range(64):
+            noise = rng.standard_normal((1, sum(counts)))
+            X = sinklimit.dynamics._step_batch(
+                game, X, params, params.delta * noise[:, slots].transpose(1, 0, 2), consts)
+            ref = reference_step_batch(game, ref, params, noise)
+            for i, s in enumerate(counts):
+                np.testing.assert_array_equal(X[i, :, :s], ref[i])
+                assert np.all(X[i, :, s:] == 0.0)
 
     x = tuple(rng.dirichlet(np.ones(s)) for s in counts)
     want = [xi[None, :] for xi in x]
@@ -422,6 +440,31 @@ def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
         want = reference_simulate_batch(game, x0, lookup, params, rngs())
         np.testing.assert_array_equal(got, want)
     assert np.any(got >= 0)
+
+
+def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatch):
+    """Four runs near the strict equilibrium settle in the first noise
+    block; the fifth steps on alone, through a budget that ends inside its
+    second block and then for eight blocks until it settles in the 4-cycle."""
+    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(build_response_graph(fig2_game)))
+    near = np.array([0.025, 0.025, 0.95])
+    x0 = [np.vstack([np.tile(near, (4, 1)), np.random.default_rng(5).dirichlet(np.ones(3))])
+          for _ in range(2)]
+
+    def rngs():
+        return [np.random.default_rng(np.random.SeedSequence([3, r])) for r in range(5)]
+
+    rows = []
+    step = sinklimit.dynamics._step_batch
+    monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
+                        lambda game, X, *rest: rows.append(len(X[0])) or step(game, X, *rest))
+    for max_steps in (100, 1500):
+        params = ReplicatorParams(max_steps=max_steps)
+        got = _simulate_batch(fig2_game, x0, lookup, params, rngs())
+        want = reference_simulate_batch(fig2_game, x0, lookup, params, rngs())
+        np.testing.assert_array_equal(got, want)
+    assert got.tolist() == [1, 1, 1, 1, 0]
+    assert rows == [5] * 64 + [1] * 36 + [5] * 64 + [1] * 512
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -487,7 +530,7 @@ def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, 
     strict = tuple(np.array([0.01, 0.01, 0.98]) for _ in range(2))
     path = iter([cycle] * 3 + [strict] * 100)
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
-                        lambda game, X, params, noise_row: sinklimit.dynamics._pad(game, next(path), 1))
+                        lambda game, X, *rest: sinklimit.dynamics._pad(game, next(path), 1))
     params = ReplicatorParams(window=window, max_steps=max_steps)
     assert simulate_to_sink(fig2_game, cycle, sinks, params, np.random.default_rng(0)) == want
 
@@ -585,9 +628,9 @@ def test_checkpoint_block_is_one_shrinking_batch(fig2_game, monkeypatch):
     rows = []
     step = sinklimit.dynamics._step_batch
 
-    def counting_step(game, X, params, noise_row):
+    def counting_step(game, X, *rest):
         rows.append(len(X[0]))
-        return step(game, X, params, noise_row)
+        return step(game, X, *rest)
 
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch", counting_step)
     estimate_limit_distribution(
