@@ -8,6 +8,7 @@ NUMERIC_ERROR.
 """
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -221,14 +222,6 @@ def _emit_limit(args, game, dist: dynamics.LimitDistribution, seed) -> int:
     return 0
 
 
-def cmd_limit(args) -> int:
-    return _run_limit(args, force_simulation=False)
-
-
-def cmd_simulate(args) -> int:
-    return _run_limit(args, force_simulation=True)
-
-
 def cmd_export_dot(args) -> int:
     text = export_dot(load_game(args.game), args.tie_tolerance)
     with _output(args) as fh:
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="debug: solve at a concrete epsilon instead of the limit")
     p.set_defaults(func=cmd_hit)
 
-    for name, func in (("limit", cmd_limit), ("simulate", cmd_simulate)):
+    for name in ("limit", "simulate"):
         p = sub.add_parser(
             name,
             help="limit distribution for a prior (exact for pure priors"
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="probabilities below this go extinct")
         p.add_argument("--vertex-smoothing", type=float, default=0.1,
                        help="tail mass when simulating from a pure-profile prior")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_limit, force_simulation=name == "simulate"))
 
     p = sub.add_parser("export-dot", help="render the better-response graph as DOT")
     common(p)

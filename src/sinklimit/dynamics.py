@@ -7,21 +7,22 @@ so supports never grow.  Trajectories are classified to a sink once the
 nearest pure profile stays inside that sink for a window of consecutive
 steps and the state passes close to a vertex at least once in the window.
 
-The estimator steps every run of a checkpoint block (samples times runs
-per sample) as one batch.  Noise is drawn one block of steps at a time;
-within a noise block each step only advances the batch and keeps its
-state, and one pass over the block's states then classifies every run.
-What is the same for every step of a noise block is made once per block:
-the noise, scaled by delta, and `_BlockConstants`; a step computes only
-what depends on the batch's state.
-A run leaves the batch at the end of the noise block in which it is
-classified or frozen.  The batch is one zero-padded array of shape
-(players, runs, widest strategy count), so each step and each
-classification makes one numpy call per operation for all players, not
-one per player; a pad slot is zero and never enters a support.  Each run
-draws its noise from its own generator,
-seeded by a splittable (root, sample, run) scheme, so a run's trajectory
-does not depend on which runs share its batch and results are
+The estimator steps every run of a checkpoint block (`_CHECKPOINT_EVERY`
+samples times runs per sample) as one batch.  Noise is drawn one block of
+steps at a time; within a noise block each step only advances the batch
+and keeps its state, and one pass over the block's states then classifies
+every run.  What is the same for every step of a noise block is made once
+per block: the noise, scaled by delta, and `_BlockConstants`; a step
+computes only what depends on the batch's state.  Expected utilities and
+best responses have one kernel, `_best_responses`, which the step and
+`best_response_vector` (on a one-run batch) both call.  A run leaves the
+batch at the end of the noise block in which it is classified or frozen.
+The batch is one zero-padded array of shape (players, runs, widest
+strategy count), so each step and each classification makes one numpy
+call per operation for all players, not one per player; a pad slot is
+zero and never enters a support.  Each run draws its noise from its own
+generator, seeded by a splittable (root, sample, run) scheme, so a run's
+trajectory does not depend on which runs share its batch and results are
 bit-identical for a given root seed.
 """
 
@@ -37,6 +38,7 @@ from .game import Game, build_reduced_response_graph, decode_profile, sink_equil
 from .scc import group_ids
 
 _NOISE_BLOCK = 64
+_CHECKPOINT_EVERY = 8
 _VERTEX_TOLERANCE = 0.05
 
 
@@ -202,30 +204,6 @@ def _utility_subscripts(p: int, player: int) -> str:
     return f"{letters[p - 1::-1]},{','.join(opponents)}->{letters[p]}{letters[player]}"
 
 
-def _expected_utilities_batch(game: Game, X, player: int) -> np.ndarray:
-    """Expected utility of each pure strategy of `player` against the
-    opponents' mixed vectors; X is a list of (runs, s_j) arrays."""
-    p = game.num_players
-    if p == 1:
-        return np.tile(game.utilities[0], (X[0].shape[0], 1))
-    return np.einsum(_utility_subscripts(p, player), game.tensor(player),
-                     *X[:player], *X[player + 1:])
-
-
-def best_response_vector(game: Game, x, player: int) -> np.ndarray:
-    """Unit vector on `player`'s best response, projected to the support of x.
-
-    The argmax is restricted to the supported strategies (ties break to the
-    lowest index), so the vector is never zero.
-    """
-    check_mixed_profile(game, x)
-    X = [np.asarray(xi, dtype=float)[None, :] for xi in x]
-    eu = _expected_utilities_batch(game, X, player)[0]
-    out = np.zeros_like(eu)
-    out[int(np.argmax(np.where(X[player][0] > 0, eu, -np.inf)))] = 1.0
-    return out
-
-
 def _simplex_rows(V: np.ndarray, mask: np.ndarray, ranks: np.ndarray,
                   row_ids: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean projection onto the simplex over masked coords.
@@ -338,6 +316,17 @@ class _BlockConstants:
         self.cells = (self.row_ids * widest).reshape(p, runs)
 
 
+def _best_responses(X, mask: np.ndarray, consts: _BlockConstants) -> np.ndarray:
+    """The one expected-utility kernel: each player's expected utilities
+    against the others' rows of the padded batch `X`, into `consts.eu`, and
+    the `(players, runs)` index of each run's best response among the
+    strategies where `mask` holds (ties break to the lowest index)."""
+    views = [X[key] for key in consts.players]
+    for i, (subscripts, tensor, out) in enumerate(consts.terms):
+        np.einsum(subscripts, tensor, *views[:i], *views[i + 1:], out=out)
+    return np.where(mask, consts.eu, -np.inf).argmax(axis=2)
+
+
 def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray,
                 consts: _BlockConstants):
     """One synchronous noisy-replicator step for a batch of runs.
@@ -346,21 +335,31 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray,
     count.  `noise_row` is the step's noise in the same layout, already
     multiplied by `params.delta`: the caller scales a whole noise block at
     once.  `consts` is what the steps of a noise block share, built once per
-    block for the batch's run count.  Per step: each player's expected
-    utilities into `consts.eu`, `eta` added at the best response on the
-    support through flat indices, the noise added, and the projection with
-    extinction."""
-    views = [X[key] for key in consts.players]
-    for i, (subscripts, tensor, out) in enumerate(consts.terms):
-        np.einsum(subscripts, tensor, *views[:i], *views[i + 1:], out=out)
+    block for the batch's run count.  Per step: each run's best response on
+    its support from `_best_responses`, `eta` added there through flat
+    indices, the noise added, and the projection with extinction."""
     mask = X > 0
     V = X.copy()
-    V.reshape(-1)[consts.cells + np.where(mask, consts.eu, -np.inf).argmax(axis=2)] += params.eta
+    V.reshape(-1)[consts.cells + _best_responses(X, mask, consts)] += params.eta
     V += noise_row  # the projection reads V on the support only
     widest = X.shape[2]
     rows = _project_rows(V.reshape(-1, widest), mask.reshape(-1, widest),
                          params.extinction_floor, consts.ranks, consts.row_ids)
     return rows.reshape(X.shape)
+
+
+def best_response_vector(game: Game, x, player: int) -> np.ndarray:
+    """Unit vector on `player`'s best response, projected to the support of x.
+
+    Computed by the replicator step's own kernel, `_best_responses`, on a
+    one-run padded batch.  The argmax is restricted to the supported
+    strategies (ties break to the lowest index), so the vector is never zero.
+    """
+    check_mixed_profile(game, x)
+    X = _pad(game, x, 1)
+    out = np.zeros(game.strategy_counts[player])
+    out[_best_responses(X, X > 0, _BlockConstants(game, 1))[player, 0]] = 1.0
+    return out
 
 
 def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
@@ -464,26 +463,25 @@ def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
 
 def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorParams,
                                 tv_tol: float = 0.01, *, runs_per_sample: int = 40,
-                                max_samples: int = 512, checkpoint_every: int = 8,
-                                tie_tolerance: float = 0.0) -> LimitDistribution:
+                                max_samples: int = 512, tie_tolerance: float = 0.0) -> LimitDistribution:
     """Empirical limit distribution over the sinks of `game`.
 
     Draws start profiles from `prior`, runs `runs_per_sample` independent
     noisy-replicator instances per draw, and accumulates the running average
-    of the per-run outcomes.  The runs of each block of `checkpoint_every`
-    samples are stepped as one batch, which a run leaves at the end of the
-    noise block in which it is classified or frozen.  Stops when the
-    total-variation distance between the running averages at successive
-    checkpoints drops below `tv_tol` once some run has classified, or at
-    the `max_samples` budget.  The
-    sinks are those of the response graph at `tie_tolerance`.
+    of the per-run outcomes.  The runs of each block of `_CHECKPOINT_EVERY`
+    samples (a module constant, 8) are stepped as one batch, which a run
+    leaves at the end of the noise block in which it is classified or
+    frozen; each block ends at a checkpoint.  Stops when the total-variation
+    distance between the running averages at successive checkpoints drops
+    below `tv_tol` once some run has classified, or at the `max_samples`
+    budget.  The sinks are those of the response graph at `tie_tolerance`.
     Deterministic given `params.rng_seed`, and the same as stepping each
     sample's runs on their own.
     """
     if not 0 < tv_tol < math.inf:
         raise ValueError("tv_tol must be finite and positive")
-    if min(runs_per_sample, max_samples, checkpoint_every) < 1:
-        raise ValueError("runs_per_sample, max_samples and checkpoint_every must be at least 1")
+    if min(runs_per_sample, max_samples) < 1:
+        raise ValueError("runs_per_sample and max_samples must be at least 1")
     sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
     lookup = group_ids(game.num_profiles, sinks)
     k = len(sinks)
@@ -494,7 +492,7 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     converged = False
     samples = 0
     while samples < max_samples and not converged:
-        block = range(samples, min(samples + checkpoint_every, max_samples))
+        block = range(samples, min(samples + _CHECKPOINT_EVERY, max_samples))
         # numpy may fail to allocate the block's starts, its noise, history
         # or draws: a run count beyond memory, reported as an input error.
         try:

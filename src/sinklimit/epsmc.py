@@ -179,7 +179,9 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
         left = np.flatnonzero(leaving(sinks, matrix))
         if left.size:
             raise ContractViolation(f"a {kind} edge leaves supposed sink {sinks[left[0]]}")
-    chain = cmc.copy()
+    # `_collapse` writes new matrices and `origin`, and the constructor
+    # copies `absorbing`, so the input needs no copy.
+    chain = EpsilonMC(cmc.reg, cmc.eps, cmc.absorbing, cmc.origin)
     chain._collapse(sinks, make_absorbing=True)
     return chain
 

@@ -136,6 +136,21 @@ def test_from_cmc_whole_graph_sink(matching_pennies):
     np.testing.assert_array_equal(hit.probabilities, np.ones((4, 1)))
 
 
+def test_from_cmc_leaves_its_input_unchanged(fig2_game):
+    cmc = build_cmc(fig2_game)
+
+    def arrays():
+        return [a.copy() for m in (cmc.reg, cmc.eps) for a in (m.data, m.indices, m.indptr)]
+
+    before, absorbing, origin = arrays(), set(cmc.absorbing), cmc.origin.copy()
+    chain = from_cmc(cmc, sink_equilibria(build_response_graph(fig2_game)))
+    assert chain.absorbing == {0, 8} and chain.origin[1] == 0  # the collapse happened
+    for got, want in zip(arrays(), before):
+        np.testing.assert_array_equal(got, want)
+    assert cmc.absorbing == absorbing
+    np.testing.assert_array_equal(cmc.origin, origin)
+
+
 def test_from_cmc_rejects_unclosed_sink(fig3_game):
     cmc = build_cmc(fig3_game)
     with pytest.raises(ContractViolation, match="leaves"):
