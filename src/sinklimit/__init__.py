@@ -20,7 +20,6 @@ from .dynamics import (
     vertex_profile,
 )
 from .epsmc import (
-    EpsilonMC,
     HittingMatrix,
     OrderLabels,
     SccPartition,
@@ -39,6 +38,7 @@ from .errors import (
     SolverConvergenceError,
 )
 from .game import (
+    EpsilonMC,
     Game,
     ReducedGraph,
     ResponseGraph,

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epsmc import limit_hitting_probabilities
+from .errors import ContractViolation
 from .game import Game, build_reduced_response_graph, decode_profile, sink_equilibria
 from .scc import group_ids
 
@@ -257,15 +258,8 @@ def project_to_simplex(v, support=None, floor: float = 0.0) -> np.ndarray:
     entries below `floor` extinguished as described in `_project_rows`."""
     v = np.asarray(v, dtype=float)
     k = v.shape[0]
-    if support is None:
-        mask = np.ones(k, dtype=bool)
-    else:
-        support = np.asarray(support)
-        if support.dtype == bool:
-            mask = support.copy()
-        else:
-            mask = np.zeros(k, dtype=bool)
-            mask[support] = True
+    mask = np.zeros(k, dtype=bool)
+    mask[slice(None) if support is None else np.asarray(support)] = True
     if not mask.any():
         raise ValueError("support must be nonempty")
     return _project_rows(v[None, :], mask[None, :], floor, np.arange(1, k + 1), np.arange(1))[0]
@@ -533,15 +527,22 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
 
 def exact_limit_distribution(game: Game, pure_prior, tie_tolerance: float = 0.0) -> LimitDistribution:
     """Exact limit distribution for a prior supported on pure profiles:
-    the prior-weighted average of the limit hitting probability rows."""
+    the prior-weighted average of the limit hitting probability rows.  A share
+    above 1 by rounding (`w @ H` adds the weights in another order than
+    `w.sum()`) is clipped to 1 within 2e-9, the weights' 1e-9 tolerance plus
+    the solver's 1e-9 row tolerance, and raises `ContractViolation` beyond."""
     w = _check_pure_weights(pure_prior)
     if w.shape != (game.num_profiles,):
         raise ValueError(
             f"pure prior needs {game.num_profiles} weights, got {w.shape}"
         )
     hit = limit_hitting_probabilities(game, tie_tolerance)
+    shares = w @ hit.probabilities
+    excess = float(np.max(shares - 1.0, initial=0.0))
+    if not excess <= 2e-9:
+        raise ContractViolation(f"limit share exceeds 1 by {excess}")
     return LimitDistribution(
-        sink_probabilities=w @ hit.probabilities,
+        sink_probabilities=np.minimum(shares, 1.0),
         sinks=hit.sinks,
         samples=0,
         runs_per_sample=0,

@@ -8,6 +8,10 @@ collapsing pseudosinks (components that can only leave through epsilon
 edges) until every node has a regular path to absorption, at which point the
 epsilon edges can be deleted and an ordinary absorbing-chain solve finishes
 the job.
+
+The chain type, `EpsilonMC`, with its boolean mask of absorbing nodes,
+lives in `game` next to `build_cmc`, which builds it.  This module holds
+the algorithm, `_collapse` included, and `game` does not import it.
 """
 
 from collections import deque
@@ -18,115 +22,40 @@ import scipy.sparse as sp
 
 from . import solver
 from .errors import ContractViolation
+from .game import EpsilonMC, _csr, build_cmc, build_reduced_response_graph, sink_equilibria
 from .scc import group_ids, leaving, strongly_connected_components
 
-_ROW_SUM_TOL = 1e-12
 
+def _collapse(chain: EpsilonMC, groups, new_rows=None) -> None:
+    """Replace each group of members with a single node (its smallest id), in place.
 
-def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
-    """n x n CSR matrix of triplets; parallel entries are summed in input order."""
-    order = np.lexsort((cols, rows))
-    return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
-
-
-class EpsilonMC:
-    """Mutable two-class Markov chain over the original node ids.
-
-    `reg` and `eps` are square CSR matrices of regular weights and epsilon
-    coefficients.  Self-loops are never stored, and for every non-absorbing
-    node with at least one regular out-edge the regular out-weights sum to
-    one.  `origin[i]` is the live node that currently represents original
-    node `i`; the live nodes are the fixed points of `origin`, and every
-    other node has an empty row and column.  These two CSR matrices,
-    `origin` and the `absorbing` set are the chain's whole interface:
-    callers read rows and edge counts from the matrices directly.
+    One relabelling of both edge classes: the members' rows are dropped,
+    every column is mapped through the new labels and parallel edges are
+    summed, so edges among the members of a group vanish, and no member
+    stays absorbing.  The caller supplies the collapsed nodes' regular
+    out-rows, if any, in `new_rows` as ``(rep, target, weight)`` arrays (see
+    `_exit_rows`), over targets as they were before the collapse.
     """
+    n = chain.num_original
+    group_of = group_ids(n, groups)
+    is_member = group_of >= 0
+    nodes = np.flatnonzero(is_member)
+    reps = nodes[np.unique(group_of[nodes], return_index=True)[1]]  # smallest members
+    label = np.where(is_member, reps[group_of], np.arange(n))
+    if new_rows is not None and np.any(label[new_rows[1]] == new_rows[0]):
+        raise ContractViolation("collapsed node cannot point into itself")
 
-    def __init__(self, reg: sp.csr_matrix, eps: sp.csr_matrix, absorbing=(), origin=None):
-        self.reg = reg
-        self.eps = eps
-        self.absorbing: set[int] = set(absorbing)
-        self.origin = np.arange(reg.shape[0]) if origin is None else origin
+    def relabel(matrix, extra=()):
+        coo = matrix.tocoo()
+        keep = ~is_member[coo.row]
+        parts = [(coo.row[keep], coo.col[keep], coo.data[keep]), *extra]
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        return _csr(n, rows, label[cols], vals)
 
-    @classmethod
-    def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=()):
-        """Build a chain from ``(u, v, weight)`` / ``(u, v, coeff)`` triples
-        or ``(m, 3)`` arrays; parallel edges of one class are summed."""
-        mats = []
-        for kind, edges in (("regular", regular), ("eps", eps)):
-            arr = np.asarray(edges, dtype=float).reshape(-1, 3)
-            u, v, w = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
-            bad = np.flatnonzero((u == v) | ~(np.isfinite(w) & (w > 0)))
-            if bad.size:
-                i = bad[0]
-                raise ContractViolation(
-                    f"{kind} edge {u[i]}->{v[i]} of value {float(w[i])}: self-loops and "
-                    "values that are not finite and positive cannot be stored"
-                )
-            mats.append(_csr(num_nodes, u, v, w))
-        chain = cls(*mats, absorbing)
-        chain.validate()
-        return chain
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def num_original(self) -> int:
-        return self.reg.shape[0]
-
-    def live_nodes(self) -> list[int]:
-        return np.flatnonzero(self.origin == np.arange(self.num_original)).tolist()
-
-    def copy(self) -> "EpsilonMC":
-        return EpsilonMC(self.reg.copy(), self.eps.copy(), self.absorbing, self.origin.copy())
-
-    def validate(self) -> None:
-        reg_degree = np.diff(self.reg.indptr)
-        out_degree = reg_degree + np.diff(self.eps.indptr)
-        for v in sorted(self.absorbing):
-            if out_degree[v]:
-                raise ContractViolation(f"absorbing node {v} has out-edges")
-        sums = np.asarray(self.reg.sum(axis=1)).ravel()
-        bad = np.flatnonzero((reg_degree > 0) & (np.abs(sums - 1.0) > _ROW_SUM_TOL))
-        if bad.size:
-            raise ContractViolation(
-                f"regular out-weights of node {bad[0]} sum to {float(sums[bad[0]])!r}, not 1"
-            )
-
-    # -- mutation ----------------------------------------------------------
-
-    def _collapse(self, groups, *, make_absorbing=False, new_rows=None) -> None:
-        """Replace each group of members with a single node (its smallest id).
-
-        One relabelling of both edge classes: the members' rows are dropped,
-        every column is mapped through the new labels and parallel edges are
-        summed, so edges among the members of a group vanish.  Unless the
-        nodes become absorbing, the caller supplies the collapsed nodes'
-        regular out-rows in `new_rows` as ``(rep, target, weight)`` arrays
-        (see `_exit_rows`), over targets as they were before the collapse.
-        """
-        n = self.num_original
-        group_of = group_ids(n, groups)
-        is_member = group_of >= 0
-        nodes = np.flatnonzero(is_member)
-        reps = nodes[np.unique(group_of[nodes], return_index=True)[1]]  # smallest members
-        label = np.where(is_member, reps[group_of], np.arange(n))
-        if new_rows is not None and np.any(label[new_rows[1]] == new_rows[0]):
-            raise ContractViolation("collapsed node cannot point into itself")
-
-        def relabel(matrix, extra=()):
-            coo = matrix.tocoo()
-            keep = ~is_member[coo.row]
-            parts = [(coo.row[keep], coo.col[keep], coo.data[keep]), *extra]
-            rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-            return _csr(n, rows, label[cols], vals)
-
-        self.reg = relabel(self.reg, () if new_rows is None else (new_rows,))
-        self.eps = relabel(self.eps)
-        self.absorbing.difference_update(nodes.tolist())
-        if make_absorbing:
-            self.absorbing.update(reps.tolist())
-        self.origin = label[self.origin]
+    chain.reg = relabel(chain.reg, () if new_rows is None else (new_rows,))
+    chain.eps = relabel(chain.eps)
+    chain.absorbing = chain.absorbing & ~is_member
+    chain.origin = label[chain.origin]
 
 
 @dataclass
@@ -142,9 +71,10 @@ class SccPartition:
 
 @dataclass
 class OrderLabels:
-    """Minimum number of epsilon edges on any path to an absorbing node."""
+    """Minimum number of epsilon edges on any path to an absorbing node,
+    per original id; -1 for a node that reaches none (every dead node)."""
 
-    order: dict[int, int]
+    order: np.ndarray
     max_order: int
 
 
@@ -173,16 +103,16 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
 
     `sinks` must be exactly the sink SCCs of the chain (no edge of either
     class may leave a sink); violating that indicates a caller bug and
-    raises.  The input chain is not modified.
+    raises.  Each sink's smallest member becomes absorbing.  The input chain
+    is not modified: `_collapse` writes new matrices and arrays.
     """
     for kind, matrix in (("regular", cmc.reg), ("eps", cmc.eps)):
         left = np.flatnonzero(leaving(sinks, matrix))
         if left.size:
             raise ContractViolation(f"a {kind} edge leaves supposed sink {sinks[left[0]]}")
-    # `_collapse` writes new matrices and `origin`, and the constructor
-    # copies `absorbing`, so the input needs no copy.
     chain = EpsilonMC(cmc.reg, cmc.eps, cmc.absorbing, cmc.origin)
-    chain._collapse(sinks, make_absorbing=True)
+    _collapse(chain, sinks)
+    chain.absorbing[[min(s) for s in sinks]] = True
     return chain
 
 
@@ -192,7 +122,7 @@ def rsccs(chain: EpsilonMC) -> SccPartition:
     A component is a pseudosink when it has at least one outgoing epsilon
     edge and no outgoing regular edge; with neither it is a sink.
     """
-    live = np.array(chain.live_nodes())
+    live = chain.live_nodes()
     # `live` ascends, so the components keep their smallest-member order.
     comps = [live[c].tolist() for c in strongly_connected_components(chain.reg[live][:, live])]
     labels = [
@@ -203,41 +133,43 @@ def rsccs(chain: EpsilonMC) -> SccPartition:
 
 
 def node_orders(chain: EpsilonMC) -> OrderLabels:
-    """Exact orders via 0-1 BFS over the reversed graph from the absorbing set.
+    """Exact orders via 0-1 BFS over the reversed graph from the absorbing nodes.
 
     Regular edges cost 0, epsilon edges cost 1.  Every live node must reach
     an absorbing node (guaranteed after sink collapse), otherwise the chain
     is malformed and this raises.
     """
-    if not chain.absorbing:
+    sources = np.flatnonzero(chain.absorbing).tolist()
+    if not sources:
         raise ContractViolation("chain has no absorbing nodes")
     # In-lists as (indptr, indices) Python lists of the transposed matrices.
     (reg_ptr, reg_in), (eps_ptr, eps_in) = (
         (m.indptr.tolist(), m.indices.tolist()) for m in (chain.reg.T.tocsr(), chain.eps.T.tocsr())
     )
-    dist: dict[int, int] = {}
-    dq: deque[tuple[int, int]] = deque()
-    for a in sorted(chain.absorbing):
+    dist = [-1] * chain.num_original
+    for a in sources:
         dist[a] = 0
-        dq.append((a, 0))
+    dq = deque((a, 0) for a in sources)
     while dq:
         v, d = dq.popleft()
         if d > dist[v]:
             continue
         for src in reg_in[reg_ptr[v] : reg_ptr[v + 1]]:
-            if src not in dist or d < dist[src]:
+            if not 0 <= dist[src] <= d:  # unreached, or reached at a higher order
                 dist[src] = d
                 dq.appendleft((src, d))
         for src in eps_in[eps_ptr[v] : eps_ptr[v + 1]]:
-            if src not in dist or d + 1 < dist[src]:
+            if not 0 <= dist[src] <= d + 1:
                 dist[src] = d + 1
                 dq.append((src, d + 1))
-    missing = [v for v in chain.live_nodes() if v not in dist]
-    if missing:
+    order = np.array(dist)
+    live = chain.live_nodes()
+    stranded = live[order[live] < 0]
+    if stranded.size:
         raise ContractViolation(
-            f"nodes {missing[:5]} cannot reach any absorbing node"
+            f"nodes {stranded[:5].tolist()} cannot reach any absorbing node"
         )
-    return OrderLabels(dist, max(dist.values()))
+    return OrderLabels(order, int(order.max()))
 
 
 def collapse_pseudosink(chain: EpsilonMC, groups: list[list[int]]) -> EpsilonMC:
@@ -250,7 +182,7 @@ def collapse_pseudosink(chain: EpsilonMC, groups: list[list[int]]) -> EpsilonMC:
     """
     pis = [solver.stationary_distribution(chain.reg[m][:, m]) if len(m) > 1 else np.ones(1)
            for m in groups]
-    chain._collapse(groups, new_rows=_exit_rows(chain, groups, pis))
+    _collapse(chain, groups, new_rows=_exit_rows(chain, groups, pis))
     return chain
 
 
@@ -316,7 +248,7 @@ def delete_epsilon_edges(chain: EpsilonMC, orders: OrderLabels) -> EpsilonMC:
     return chain
 
 
-def _hitting_rows(chain: EpsilonMC, nodes: list[int], result) -> np.ndarray:
+def _hitting_rows(chain: EpsilonMC, nodes: np.ndarray, result) -> np.ndarray:
     """Hitting rows of every original node from a solve over live `nodes`."""
     k = result.absorbing.size
     rows = np.zeros((len(nodes), k))
@@ -330,8 +262,6 @@ def _hitting_rows(chain: EpsilonMC, nodes: list[int], result) -> np.ndarray:
 def _collapsed_profile_chain(game, tie_tolerance: float):
     """Profile chain of `game` with its sinks collapsed, plus those sinks,
     taken from the reduced response graph as the `sinks` command does."""
-    from .game import build_cmc, build_reduced_response_graph, sink_equilibria
-
     sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
     return from_cmc(build_cmc(game, tie_tolerance), sinks), sinks
 

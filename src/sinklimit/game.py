@@ -2,8 +2,10 @@
 
 Pure strategy profiles are encoded as mixed-radix integers with player 0 as
 the least significant digit, so profile ``(a_0, ..., a_{p-1})`` has id
-``sum_i a_i * prod_{j<i} s_j``.  Nothing here modifies a structure once it
-is built, so all of them are safe for concurrent reads.
+``sum_i a_i * prod_{j<i} s_j``.  The profile chain's type, `EpsilonMC`,
+lives here next to `build_cmc`, which builds it; `epsmc` collapses it in
+place.  Nothing else here modifies a structure once it is built, so the
+others are safe for concurrent reads.
 """
 
 import json
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .epsmc import EpsilonMC
-from .errors import GameFormatError
+from .errors import ContractViolation, GameFormatError
 from .scc import sink_components
 
 SCHEMA_VERSION = 1
+_ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,76 @@ def sink_equilibria(graph) -> list:
     """Sink SCCs of a response graph (full or reduced), each sorted, ordered
     by smallest member profile id."""
     return sink_components(graph.adjacency)
+
+
+def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+    """n x n CSR matrix of triplets; parallel entries are summed in input order."""
+    order = np.lexsort((cols, rows))
+    return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
+
+
+class EpsilonMC:
+    """Mutable two-class Markov chain over the original node ids.
+
+    `reg` and `eps` are square CSR matrices of regular weights and epsilon
+    coefficients.  Self-loops are never stored, and for every non-absorbing
+    node with at least one regular out-edge the regular out-weights sum to
+    one.  `absorbing` is a boolean mask over the original ids, the format of
+    `solver.StochasticMatrix.absorbing`.  `origin[i]` is the live node that
+    currently represents original node `i`; the live nodes are the fixed
+    points of `origin`, and every other node has an empty row and column and
+    is not absorbing.  These two CSR matrices and the two arrays are the
+    chain's whole interface.  The type lives here, where `build_cmc` builds
+    it; `epsmc` collapses it in place.
+    """
+
+    def __init__(self, reg: sp.csr_matrix, eps: sp.csr_matrix, absorbing: np.ndarray, origin=None):
+        self.reg = reg
+        self.eps = eps
+        self.absorbing = absorbing
+        self.origin = np.arange(reg.shape[0]) if origin is None else origin
+
+    @classmethod
+    def from_edges(cls, num_nodes, regular=(), eps=(), absorbing=()):
+        """Build a chain from ``(u, v, weight)`` / ``(u, v, coeff)`` triples
+        or ``(m, 3)`` arrays and the ids of its absorbing nodes; parallel
+        edges of one class are summed."""
+        mats = []
+        for kind, edges in (("regular", regular), ("eps", eps)):
+            arr = np.asarray(edges, dtype=float).reshape(-1, 3)
+            u, v, w = arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+            bad = np.flatnonzero((u == v) | ~(np.isfinite(w) & (w > 0)))
+            if bad.size:
+                i = bad[0]
+                raise ContractViolation(
+                    f"{kind} edge {u[i]}->{v[i]} of value {float(w[i])}: self-loops and "
+                    "values that are not finite and positive cannot be stored"
+                )
+            mats.append(_csr(num_nodes, u, v, w))
+        mask = np.zeros(num_nodes, dtype=bool)
+        mask[np.asarray(absorbing, dtype=np.intp)] = True
+        chain = cls(*mats, mask)
+        chain.validate()
+        return chain
+
+    @property
+    def num_original(self) -> int:
+        return self.reg.shape[0]
+
+    def live_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.origin == np.arange(self.num_original))
+
+    def validate(self) -> None:
+        reg_degree = np.diff(self.reg.indptr)
+        busy = np.flatnonzero(self.absorbing & (reg_degree + np.diff(self.eps.indptr) > 0))
+        if busy.size:
+            raise ContractViolation(f"absorbing node {busy[0]} has out-edges")
+        sums = np.asarray(self.reg.sum(axis=1)).ravel()
+        bad = np.flatnonzero((reg_degree > 0) & (np.abs(sums - 1.0) > _ROW_SUM_TOL))
+        if bad.size:
+            raise ContractViolation(
+                f"regular out-weights of node {bad[0]} sum to {float(sums[bad[0]])!r}, not 1"
+            )
 
 
 def build_cmc(game: Game, tie_tolerance: float = 0.0) -> EpsilonMC:

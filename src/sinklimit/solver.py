@@ -13,19 +13,14 @@ All functions are pure and reentrant.
 that importing this module does not pay for loading it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverConvergenceError
+from .game import EpsilonMC
 from .scc import sink_components
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .epsmc import EpsilonMC
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,7 @@ def _state_reduction_hitting(csr: sp.csr_matrix, mask: np.ndarray) -> np.ndarray
     return H[transient]
 
 
-def chain_matrix(chain: "EpsilonMC", nodes: list[int]) -> StochasticMatrix:
+def chain_matrix(chain: EpsilonMC, nodes: np.ndarray) -> StochasticMatrix:
     """Concrete stochastic matrix of a chain whose epsilon edges are gone.
 
     `nodes[i]` gives the chain node id sitting at matrix index `i`.
@@ -275,11 +270,10 @@ def chain_matrix(chain: "EpsilonMC", nodes: list[int]) -> StochasticMatrix:
     busy = np.flatnonzero(np.diff(chain.eps.indptr)[nodes])
     if busy.size:
         raise ValueError(f"node {nodes[busy[0]]} still has epsilon edges")
-    mask = np.isin(nodes, list(chain.absorbing))
-    return StochasticMatrix(chain.reg[nodes][:, nodes], mask)
+    return StochasticMatrix(chain.reg[nodes][:, nodes], chain.absorbing[nodes])
 
 
-def oracle_hitting_at_epsilon(chain: "EpsilonMC", eps: float) -> AbsorptionResult:
+def oracle_hitting_at_epsilon(chain: EpsilonMC, eps: float) -> AbsorptionResult:
     """Solve the chain with the vanishing weight frozen at a concrete `eps`.
 
     Each epsilon edge gets weight ``coeff * eps`` and the node's regular
@@ -315,5 +309,4 @@ def oracle_hitting_at_epsilon(chain: "EpsilonMC", eps: float) -> AbsorptionResul
         (vals, (np.concatenate([reg.row, tie.row]), np.concatenate([reg.col, tie.col]))),
         shape=(n, n),
     )
-    mask = np.isin(nodes, list(chain.absorbing))
-    return absorption_probabilities(StochasticMatrix(matrix, mask), stable=True)
+    return absorption_probabilities(StochasticMatrix(matrix, chain.absorbing[nodes]), stable=True)

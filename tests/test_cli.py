@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -11,15 +13,18 @@ import pytest
 import sinklimit.game
 from sinklimit import (
     ContractViolation,
+    Prior,
+    ReplicatorParams,
     SolverConvergenceError,
     build_response_graph,
+    estimate_limit_distribution,
     limit_hitting_probabilities,
     oracle_hitting_matrix,
     profile_label,
     random_game,
     save_game,
 )
-from sinklimit.cli import _emit_json, main
+from sinklimit.cli import _emit_json, build_parser, main
 
 from conftest import bimatrix
 
@@ -628,6 +633,21 @@ def test_flags_only_on_commands_that_read_them(tmp_path, capsys, fig3_game, argv
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_cli_defaults_equal_library_defaults(command):
+    # `build_parser` repeats each default; a library change must not leave it behind.
+    args = build_parser().parse_args([command, "game.json", "uniform"])
+    params = ReplicatorParams()
+    for f in dataclasses.fields(ReplicatorParams):
+        if f.name != "rng_seed":  # `--seed` has no default: stochastic commands require it
+            assert getattr(args, f.name) == getattr(params, f.name), f.name
+    estimate = inspect.signature(estimate_limit_distribution).parameters
+    for name in ("tv_tol", "runs_per_sample", "max_samples", "tie_tolerance"):
+        assert getattr(args, name) == estimate[name].default, name
+    pure = inspect.signature(Prior.pure).parameters
+    assert args.vertex_smoothing == pure["vertex_smoothing"].default
 
 
 def test_malformed_game_file(tmp_path, capsys):

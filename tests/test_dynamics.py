@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sinklimit import (
+    ContractViolation,
     Game,
     Prior,
     ReplicatorParams,
@@ -884,6 +885,21 @@ def test_exact_uniform_prior_averages_rows(fig3_game):
     np.testing.assert_allclose(
         dist.sink_probabilities, hit.probabilities.mean(axis=0), atol=1e-12
     )
+
+
+def test_exact_shares_never_exceed_one(monkeypatch):
+    # One sink whose hitting rows are all exactly 1.0: `w @ H` adds nine
+    # weights of 1/9 to 1.0000000000000002, which is clipped to 1.
+    game = random_game(1, 2, (3, 3))
+    w = np.full(9, 1 / 9)
+    assert (w @ np.ones(9)) > 1.0
+    np.testing.assert_array_equal(exact_limit_distribution(game, w).sink_probabilities, [1.0])
+    # Beyond the 2e-9 rounding allowance the excess is a broken invariant.
+    hit = limit_hitting_probabilities(game)
+    hit.probabilities = hit.probabilities + 3e-9
+    monkeypatch.setattr(sinklimit.dynamics, "limit_hitting_probabilities", lambda *a: hit)
+    with pytest.raises(ContractViolation, match="exceeds 1"):
+        exact_limit_distribution(game, w)
 
 
 def test_exact_rejects_bad_priors(fig3_game):
