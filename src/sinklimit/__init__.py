@@ -22,7 +22,6 @@ from .dynamics import (
 from .epsmc import (
     HittingMatrix,
     OrderLabels,
-    SccPartition,
     collapse_pseudosink,
     delete_epsilon_edges,
     from_cmc,
@@ -40,7 +39,6 @@ from .errors import (
 from .game import (
     EpsilonMC,
     Game,
-    ReducedGraph,
     ResponseGraph,
     build_cmc,
     build_reduced_response_graph,

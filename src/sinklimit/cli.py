@@ -20,7 +20,6 @@ from .dot import export_dot
 from .errors import ContractViolation, GameFormatError, SolverConvergenceError
 from .game import (
     SCHEMA_VERSION,
-    build_reduced_response_graph,
     decode_profile,
     game_to_json,
     load_game,
@@ -100,8 +99,7 @@ def _require_seed(args) -> int:
 
 def cmd_sinks(args) -> int:
     game = load_game(args.game)
-    reduced = build_reduced_response_graph(game, args.tie_tolerance)
-    sinks = sink_equilibria(reduced)
+    sinks = sink_equilibria(game, args.tie_tolerance)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "sinks",

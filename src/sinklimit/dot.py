@@ -8,8 +8,8 @@ epsilon edges of the profile chain, appear as a bidirectional pair labeled
 "0.00".
 """
 
-from .epsmc import limit_hitting_probabilities
-from .game import Game, build_cmc, profile_label
+from .epsmc import limit_hitting_from_cmc
+from .game import Game, build_cmc, profile_label, sink_equilibria
 from .scc import group_ids
 
 # Fixed 12-color palette, cycled by sink index so re-runs color identically.
@@ -25,11 +25,10 @@ def sink_color(index: int) -> str:
 
 def export_dot(game: Game, tie_tolerance: float = 0.0) -> str:
     """DOT text for `game`, colored by its limit hitting probabilities."""
-    hitting = limit_hitting_probabilities(game, tie_tolerance)
+    chain = build_cmc(game, tie_tolerance)
+    hitting = limit_hitting_from_cmc(chain, sink_equilibria(game, tie_tolerance))
     n = game.num_profiles
     sink_of = group_ids(n, hitting.sinks).tolist()
-
-    chain = build_cmc(game, tie_tolerance)
     names = [profile_label(pid, game) for pid in range(n)]
 
     lines = ["digraph game {", "  node [shape=ellipse];"]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .epsmc import limit_hitting_probabilities
 from .errors import ContractViolation
-from .game import Game, build_reduced_response_graph, decode_profile, sink_equilibria
+from .game import Game, decode_profile, sink_equilibria
 from .scc import group_ids
 
 _NOISE_BLOCK = 64
@@ -476,7 +476,7 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
         raise ValueError("tv_tol must be finite and positive")
     if min(runs_per_sample, max_samples) < 1:
         raise ValueError("runs_per_sample and max_samples must be at least 1")
-    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
+    sinks = sink_equilibria(game, tie_tolerance)
     lookup = group_ids(game.num_profiles, sinks)
     k = len(sinks)
     root = int(params.rng_seed)

@@ -22,8 +22,8 @@ import scipy.sparse as sp
 
 from . import solver
 from .errors import ContractViolation
-from .game import EpsilonMC, _csr, build_cmc, build_reduced_response_graph, sink_equilibria
-from .scc import group_ids, leaving, strongly_connected_components
+from .game import EpsilonMC, _csr, build_cmc, sink_equilibria
+from .scc import group_ids, leaving, sink_components
 
 
 def _collapse(chain: EpsilonMC, groups, new_rows=None) -> None:
@@ -59,17 +59,6 @@ def _collapse(chain: EpsilonMC, groups, new_rows=None) -> None:
 
 
 @dataclass
-class SccPartition:
-    """Components under the regular edges only, with their classification."""
-
-    components: list[list[int]]
-    labels: list[str]  # "sink" | "pseudosink" | "ordinary" per component
-
-    def pseudosinks(self) -> list[list[int]]:
-        return [c for c, lab in zip(self.components, self.labels) if lab == "pseudosink"]
-
-
-@dataclass
 class OrderLabels:
     """Minimum number of epsilon edges on any path to an absorbing node,
     per original id; -1 for a node that reaches none (every dead node)."""
@@ -91,11 +80,15 @@ class HittingMatrix:
 
     probabilities: np.ndarray
     sinks: list[list[int]]
-    rounds: int = 0
     order_trace: list[int] = field(default_factory=list)
     pseudosink_counts: list[int] = field(default_factory=list)
     residual: float = 0.0
     bound_excess: float = 0.0
+
+    @property
+    def rounds(self) -> int:
+        """Number of collapse rounds, one per entry of `pseudosink_counts`."""
+        return len(self.pseudosink_counts)
 
 
 def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
@@ -116,20 +109,14 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
     return chain
 
 
-def rsccs(chain: EpsilonMC) -> SccPartition:
-    """Strongly connected components under regular edges only.
-
-    A component is a pseudosink when it has at least one outgoing epsilon
-    edge and no outgoing regular edge; with neither it is a sink.
-    """
+def rsccs(chain: EpsilonMC) -> list[list[int]]:
+    """Pseudosinks of `chain`: the components of its live nodes under regular
+    edges that no regular edge leaves and some epsilon edge does, each
+    sorted, ordered by smallest member."""
     live = chain.live_nodes()
     # `live` ascends, so the components keep their smallest-member order.
-    comps = [live[c].tolist() for c in strongly_connected_components(chain.reg[live][:, live])]
-    labels = [
-        "ordinary" if reg_out else "pseudosink" if eps_out else "sink"
-        for reg_out, eps_out in zip(leaving(comps, chain.reg), leaving(comps, chain.eps))
-    ]
-    return SccPartition(comps, labels)
+    comps = [live[c].tolist() for c in sink_components(chain.reg[live][:, live])]
+    return [c for c, eps_out in zip(comps, leaving(comps, chain.eps)) if eps_out]
 
 
 def node_orders(chain: EpsilonMC) -> OrderLabels:
@@ -259,32 +246,25 @@ def _hitting_rows(chain: EpsilonMC, nodes: np.ndarray, result) -> np.ndarray:
     return rows[pos[chain.origin]]
 
 
-def _collapsed_profile_chain(game, tie_tolerance: float):
-    """Profile chain of `game` with its sinks collapsed, plus those sinks,
-    taken from the reduced response graph as the `sinks` command does."""
-    sinks = sink_equilibria(build_reduced_response_graph(game, tie_tolerance))
-    return from_cmc(build_cmc(game, tie_tolerance), sinks), sinks
+def limit_hitting_from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> HittingMatrix:
+    """Limit hitting probabilities from every original node of the profile
+    chain `cmc` into its sink components `sinks`; `cmc` is not modified.
 
-
-def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatrix:
-    """Limit hitting probabilities from every pure profile of `game`.
-
-    Pipeline: build the profile chain, collapse its sink components, then
-    collapse every pseudosink of a round with one `collapse_pseudosink` call
-    and re-partition, until every node has a regular path to absorption;
+    Pipeline: collapse the sinks (`from_cmc`), then collapse every
+    pseudosink of a round with one `collapse_pseudosink` call and
+    re-partition, until every node has a regular path to absorption;
     finally drop the vanishing edges and solve the ordinary absorbing chain.
     Each collapse round provably reduces the maximum order by at least one,
     so the loop runs at most max-order rounds; both guarantees are asserted
     and violations raise rather than loop.  Orders are computed once per
     round, and `delete_epsilon_edges` checks the ones the loop ended on.
     """
-    chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
+    chain = from_cmc(cmc, sinks)
     orders = node_orders(chain)
     trace = [orders.max_order]
     pseudo_counts: list[int] = []
     while orders.max_order > 0:
-        partition = rsccs(chain)
-        pseudos = partition.pseudosinks()
+        pseudos = rsccs(chain)
         if not pseudos:
             raise ContractViolation(
                 f"max order is {orders.max_order} but no pseudosink exists"
@@ -303,9 +283,16 @@ def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatr
     nodes = chain.live_nodes()
     result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))
     return HittingMatrix(
-        _hitting_rows(chain, nodes, result), sinks, len(pseudo_counts), trace, pseudo_counts,
+        _hitting_rows(chain, nodes, result), sinks, trace, pseudo_counts,
         result.residual, result.bound_excess,
     )
+
+
+def limit_hitting_probabilities(game, tie_tolerance: float = 0.0) -> HittingMatrix:
+    """Limit hitting probabilities from every pure profile of `game`: the
+    collapse driver on its profile chain and sink equilibria."""
+    return limit_hitting_from_cmc(build_cmc(game, tie_tolerance),
+                                  sink_equilibria(game, tie_tolerance))
 
 
 def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> HittingMatrix:
@@ -315,7 +302,8 @@ def oracle_hitting_matrix(game, eps: float, tie_tolerance: float = 0.0) -> Hitti
     chain at a concrete small `eps` and solves it directly, with no collapse
     machinery involved.
     """
-    chain, sinks = _collapsed_profile_chain(game, tie_tolerance)
+    sinks = sink_equilibria(game, tie_tolerance)
+    chain = from_cmc(build_cmc(game, tie_tolerance), sinks)
     result = solver.oracle_hitting_at_epsilon(chain, eps)
     return HittingMatrix(
         _hitting_rows(chain, chain.live_nodes(), result), sinks,

@@ -1,4 +1,4 @@
-"""Normal-form games, better-response graphs, and the profile chain.
+"""Normal-form games, their response graphs and sink equilibria, and the profile chain.
 
 Pure strategy profiles are encoded as mixed-radix integers with player 0 as
 the least significant digit, so profile ``(a_0, ..., a_{p-1})`` has id
@@ -136,26 +136,11 @@ class ResponseGraph:
 
     `regular_edges` is an ``(m, 4)`` float array of rows ``(from, to, player,
     improvement)``; `tie_edges` an ``(k, 3)`` int array of rows ``(from, to,
-    player)`` with from < to, stored once per unordered pair.  `adjacency`
-    is the CSR pattern of both, with every tie in both directions.
+    player)`` with from < to, stored once per unordered pair.
     """
 
     regular_edges: np.ndarray
     tie_edges: np.ndarray
-    adjacency: sp.csr_matrix
-
-
-@dataclass(frozen=True)
-class ReducedGraph:
-    """Linear-size digraph with the same transitive closure as the full
-    response graph: per player line, a chain through the utility-sorted
-    profiles plus one cycle-closing edge per tied group."""
-
-    adjacency: sp.csr_matrix
-
-    @property
-    def num_edges(self) -> int:
-        return self.adjacency.nnz
 
 
 def _player_lines(game: Game, player: int) -> np.ndarray:
@@ -164,12 +149,6 @@ def _player_lines(game: Game, player: int) -> np.ndarray:
     s, stride = game.strategy_counts[player], game.strides[player]
     ids = np.arange(game.num_profiles).reshape(-1, s, stride)
     return ids.transpose(0, 2, 1).reshape(-1, s)
-
-
-def _pattern(n: int, rows, cols) -> sp.csr_matrix:
-    """n x n CSR pattern of the edges in lists of source and target arrays."""
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
 def _check_tie_tolerance(tie_tolerance: float) -> None:
@@ -200,17 +179,16 @@ def build_response_graph(game: Game, tie_tolerance: float = 0.0) -> ResponseGrap
         upper = ~np.tri(lines.shape[1], dtype=bool)  # a < b: each tie once
         l, a, b = np.nonzero((np.abs(gain) <= tie_tolerance) & upper)
         ties.append(np.column_stack([lines[l, a], lines[l, b], np.full(l.size, player)]))
-    reg, tie = np.concatenate(regular), np.concatenate(ties)
-    u, v = reg[:, 0].astype(np.intp), reg[:, 1].astype(np.intp)
-    adjacency = _pattern(game.num_profiles, [u, tie[:, 0], tie[:, 1]], [v, tie[:, 1], tie[:, 0]])
-    return ResponseGraph(reg, tie, adjacency)
+    return ResponseGraph(np.concatenate(regular), np.concatenate(ties))
 
 
-def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> ReducedGraph:
-    """Transitive-closure-equivalent graph with at most two out-edges per
-    node per line: each line is sorted by the moving player's utility, chained
-    in increasing order, and each group of tied profiles gets one back edge
-    from its last to its first member to close the tie cycle."""
+def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> sp.csr_matrix:
+    """CSR pattern of a linear-size digraph with the same transitive closure
+    as the response graph, every tie taken in both directions: at most two
+    out-edges per node per line.  Each line is sorted by the moving player's
+    utility, chained in increasing order, and each group of tied profiles
+    gets one back edge from its last to its first member to close the tie
+    cycle."""
     _check_tie_tolerance(tie_tolerance)
     rows, cols = [], []
     for player in range(game.num_players):
@@ -226,13 +204,15 @@ def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> Redu
         l, last = np.nonzero(cut[:, 1:] & (first < pos))
         rows += [members[:, :-1].ravel(), members[l, last]]
         cols += [members[:, 1:].ravel(), members[l, first[l, last]]]
-    return ReducedGraph(_pattern(game.num_profiles, rows, cols))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    n = game.num_profiles
+    return sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
-def sink_equilibria(graph) -> list:
-    """Sink SCCs of a response graph (full or reduced), each sorted, ordered
-    by smallest member profile id."""
-    return sink_components(graph.adjacency)
+def sink_equilibria(game: Game, tie_tolerance: float = 0.0) -> list:
+    """Sink equilibria of `game`: the sink SCCs of its reduced response graph,
+    each sorted, ordered by smallest member profile id."""
+    return sink_components(build_reduced_response_graph(game, tie_tolerance))
 
 
 def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:

@@ -189,8 +189,9 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
             raise SolverConvergenceError(
                 f"transient state {comp[0]} has no path to an absorbing state"
             )
-    Q = csr[transient][:, transient]
-    R = csr[transient][:, absorbing].toarray()
+    rows = csr[transient]
+    Q = rows[:, transient]
+    R = rows[:, absorbing].toarray()
 
     if stable:
         try:

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sinklimit
-from sinklimit import Game
+from sinklimit import Game, build_response_graph
 
 # Child interpreters started by tests (`python -m sinklimit`) must import the
 # same package as the tests, also when only pytest's `pythonpath` setting
@@ -28,6 +29,18 @@ def bimatrix(cells) -> Game:
             pid = r + rows * c
             u0[pid], u1[pid] = cells[r][c]
     return Game((rows, cols), (u0, u1))
+
+
+def full_graph(game: Game, tie_tolerance: float = 0.0) -> sp.csr_matrix:
+    """CSR pattern of the full response graph: every regular edge, and every
+    tie edge in both directions.  The reference the reduced graph is checked
+    against."""
+    graph = build_response_graph(game, tie_tolerance)
+    reg = graph.regular_edges[:, :2].astype(np.intp)
+    tie = graph.tie_edges[:, :2]
+    edges = np.concatenate([reg, tie, tie[:, ::-1]])
+    n = game.num_profiles
+    return sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
 
 
 def row(matrix, v: int) -> dict[int, float]:

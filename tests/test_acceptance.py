@@ -15,7 +15,6 @@ from sinklimit import (
     Prior,
     ReplicatorParams,
     build_reduced_response_graph,
-    build_response_graph,
     estimate_limit_distribution,
     limit_hitting_probabilities,
     node_orders,
@@ -29,6 +28,9 @@ from sinklimit import (
 from sinklimit.cli import main
 from sinklimit.epsmc import from_cmc
 from sinklimit.game import build_cmc, save_game
+from sinklimit.scc import sink_components
+
+from conftest import full_graph
 
 from test_dynamics import exact_simplex_projection
 
@@ -70,9 +72,9 @@ def test_criterion_1_fig2_sinks(tmp_path, capsys, fig2_game):
 
 
 def test_criterion_2_fig3_pseudosink(fig3_game):
-    chain = from_cmc(build_cmc(fig3_game), sink_equilibria(build_response_graph(fig3_game)))
+    chain = from_cmc(build_cmc(fig3_game), sink_equilibria(fig3_game))
     orders = node_orders(chain)
-    pseudos = rsccs(chain).pseudosinks()
+    pseudos = rsccs(chain)
     hit = limit_hitting_probabilities(fig3_game)
     ok = (
         pseudos == [[8]]
@@ -140,11 +142,10 @@ def test_criterion_5_reduced_graph_equivalence():
     for (p, counts), seed, mode in itertools.product(shapes, range(10), ("continuous", "integer")):
         game = random_game(seed, p, counts, mode=mode)
         assert game.num_profiles <= 200
-        full = build_response_graph(game)
         red = build_reduced_response_graph(game)
-        if sink_equilibria(red) != sink_equilibria(full):
+        if sink_equilibria(game) != sink_components(full_graph(game)):
             mismatches += 1
-        worst_avg = max(worst_avg, red.num_edges / (game.num_profiles * game.num_players))
+        worst_avg = max(worst_avg, red.nnz / (game.num_profiles * game.num_players))
         checked += 1
     elapsed = time.perf_counter() - start
     ok = checked >= 200 and mismatches == 0 and worst_avg <= 1.5

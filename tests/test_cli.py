@@ -508,29 +508,69 @@ def response_graph_edge_lines(game) -> set:
 
 
 @pytest.mark.parametrize("game_name", ["fig3", "random"])
-def test_export_dot_edges_and_response_graph_builds(tmp_path, capsys, monkeypatch,
-                                                     fig3_game, game_name):
+def test_export_dot_edges(tmp_path, capsys, fig3_game, game_name):
     game = fig3_game if game_name == "fig3" else random_game(1, 2, (3, 3), "integer")
     expected = response_graph_edge_lines(game)
     assert any('label="0.00"' in line for line in expected)
-    gpath = write_game(tmp_path, game)
-    calls = []
-    build = sinklimit.game.build_response_graph
-
-    def counting_build(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    # `from .game import build_response_graph` copies the binding: patch every copy.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sinklimit") and getattr(module, "build_response_graph", None) is build:
-            monkeypatch.setattr(module, "build_response_graph", counting_build)
-    code, out, _ = run_cli(capsys, "export-dot", gpath)
+    code, out, _ = run_cli(capsys, "export-dot", write_game(tmp_path, game))
     assert code == 0
-    assert len(calls) == 2
     edges = [line.strip() for line in out.splitlines() if "->" in line]
     assert len(edges) == len(expected)
     assert set(edges) == expected
+
+
+BUILDS = ("build_response_graph", "build_cmc", "build_reduced_response_graph")
+
+
+def count_builds(monkeypatch) -> dict:
+    """Calls of each function in `BUILDS` from here on, counted by name."""
+    counts = dict.fromkeys(BUILDS, 0)
+    for name in BUILDS:
+        build = getattr(sinklimit.game, name)
+
+        def counting(*args, _name=name, _build=build, **kwargs):
+            counts[_name] += 1
+            return _build(*args, **kwargs)
+
+        # `from .game import name` copies the binding: patch every copy.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("sinklimit") and getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+# Calls of each of `BUILDS` per command: the exact path builds each structure
+# once, and the commands that need only the sinks build only the reduced graph.
+BUILD_COUNTS = {
+    "hit": (1, 1, 1),
+    "limit pure:": (1, 1, 1),
+    "export-dot": (1, 1, 1),
+    "sinks": (0, 0, 1),
+    "limit uniform": (0, 0, 1),
+    "simulate": (0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("command, builds", BUILD_COUNTS.items(), ids=list(BUILD_COUNTS))
+def test_each_command_builds_each_structure_at_most_once(tmp_path, capsys, monkeypatch,
+                                                          fig3_game, command, builds):
+    # Figure 3 has a tie edge and a collapse round, so every stage of the exact path runs.
+    gpath = write_game(tmp_path, fig3_game)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps([1 / 9] * 9))
+    simulation = ["uniform", "--seed", "1", "--max-samples", "1", "--runs-per-sample", "2"]
+    argv = {
+        "hit": ["hit", gpath],
+        "limit pure:": ["limit", gpath, f"pure:{wpath}"],
+        "export-dot": ["export-dot", gpath],
+        "sinks": ["sinks", gpath],
+        "limit uniform": ["limit", gpath, *simulation],
+        "simulate": ["simulate", gpath, *simulation],
+    }[command]
+    counts = count_builds(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert tuple(counts[name] for name in BUILDS) == builds
 
 
 def test_random_game_roundtrip_and_determinism(tmp_path, capsys):

@@ -10,8 +10,6 @@ from sinklimit import (
     Prior,
     ReplicatorParams,
     best_response_vector,
-    build_reduced_response_graph,
-    build_response_graph,
     decode_profile,
     estimate_limit_distribution,
     exact_limit_distribution,
@@ -236,7 +234,7 @@ def test_step_invariants_over_random_walks():
 def test_engine_matches_reference_classification(fig2_game, fig3_game):
     params = ReplicatorParams(max_steps=4000)
     for game in (fig2_game, fig3_game):
-        sinks = sink_equilibria(build_response_graph(game))
+        sinks = sink_equilibria(game)
         for seed in range(6):
             x0 = tuple(
                 np.random.default_rng(seed + 50).dirichlet(np.ones(s))
@@ -453,7 +451,7 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
 @pytest.mark.parametrize("floor", [1e-9, 0.2])
 def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
     game = random_game(seed, len(counts), counts)
-    lookup = group_ids(game.num_profiles, sink_equilibria(build_reduced_response_graph(game)))
+    lookup = group_ids(game.num_profiles, sink_equilibria(game))
     x0 = mixed_starts(game, np.random.default_rng(5), 15)
 
     def rngs():
@@ -471,7 +469,7 @@ def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatc
     """Four runs near the strict equilibrium settle in the first noise
     block; the fifth steps on alone, through a budget that ends inside its
     second block and then for eight blocks until it settles in the 4-cycle."""
-    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(build_response_graph(fig2_game)))
+    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
     near = np.array([0.025, 0.025, 0.95])
     x0 = [np.vstack([np.tile(near, (4, 1)), np.random.default_rng(5).dirichlet(np.ones(3))])
           for _ in range(2)]
@@ -510,7 +508,7 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
         return [np.random.default_rng(np.random.SeedSequence([3, r])) for r in range(13)]
 
     for g, rows, start in cases:
-        lookup = group_ids(g.num_profiles, sink_equilibria(build_response_graph(g)))
+        lookup = group_ids(g.num_profiles, sink_equilibria(g))
         x0 = [np.vstack([r, x]) for r, x in zip(rows, start)]
         for window in (20, 100):
             outcomes = []
@@ -532,7 +530,7 @@ def test_window_completing_at_the_budget_classifies(fig2_game, window):
     # The start is close to the vertex (1,1) of the 4-cycle sink and its
     # nearest profile never leaves the cycle, so its window completes at
     # step `window`.
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     x0 = tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2))
 
     def outcome(max_steps):
@@ -550,7 +548,7 @@ def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, 
     # sink, then close to the strict equilibrium (3,3).  A run that settles
     # mid-block keeps stepping to the block's end; its later states must not
     # change where it settled.
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     cycle = tuple(np.array([0.98, 0.01, 0.01]) for _ in range(2))
     strict = tuple(np.array([0.01, 0.01, 0.98]) for _ in range(2))
     path = iter([cycle] * 3 + [strict] * 100)
@@ -564,7 +562,7 @@ def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, 
 
 
 def test_vertex_inside_sink_classifies_immediately(fig2_game):
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     params = ReplicatorParams()
     out = simulate_to_sink(
         fig2_game, vertex_profile(fig2_game, 0), sinks, params, np.random.default_rng(3)
@@ -577,7 +575,7 @@ def test_vertex_inside_sink_classifies_immediately(fig2_game):
 
 
 def test_zero_step_budget_never_classifies(fig2_game):
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     params = ReplicatorParams(max_steps=0)
     out = simulate_to_sink(
         fig2_game, vertex_profile(fig2_game, 0), sinks, params, np.random.default_rng(0)
@@ -588,7 +586,7 @@ def test_zero_step_budget_never_classifies(fig2_game):
 def test_near_strict_equilibrium_attraction(fig2_game):
     # Regression: from full-support states concentrated on (3,3), the
     # dynamics stays with the strict equilibrium in at least 90% of runs.
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     x0 = tuple(np.array([0.025, 0.025, 0.95]) for _ in range(2))
     params = ReplicatorParams()
     rngs = [np.random.default_rng(np.random.SeedSequence([777, r])) for r in range(100)]
@@ -599,7 +597,7 @@ def test_near_strict_equilibrium_attraction(fig2_game):
 def test_batch_width_does_not_change_runs(fig2_game):
     # Each run draws only from its own generator and finished runs stop
     # moving, so a run's outcome cannot depend on which others share its batch.
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     lookup = group_ids(fig2_game.num_profiles, sinks)
     x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
     params = ReplicatorParams(max_steps=2000)
@@ -616,7 +614,7 @@ def test_batch_width_does_not_change_runs(fig2_game):
 def test_noise_block_length_does_not_change_runs(fig2_game, monkeypatch):
     # Each run refills its block rows from its own stream, so the block length
     # only decides when the draws happen, not what they are.
-    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(build_response_graph(fig2_game)))
+    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
     x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
     params = ReplicatorParams(max_steps=2000)
 
@@ -633,7 +631,7 @@ def test_noise_block_length_does_not_change_runs(fig2_game, monkeypatch):
 
 def test_mixed_start_rows_match_runs_alone():
     game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
-    lookup = group_ids(game.num_profiles, sink_equilibria(build_response_graph(game)))
+    lookup = group_ids(game.num_profiles, sink_equilibria(game))
     params = ReplicatorParams(max_steps=1500)
     starts = [tuple(np.random.default_rng(seed).dirichlet(np.ones(s))
                     for s in game.strategy_counts) for seed in range(6)]
@@ -783,7 +781,7 @@ def per_sample_estimate(game, prior, params, tv_tol=0.01, *, runs_per_sample=40,
                         max_samples=512):
     """The estimator as one `_simulate_batch` call per prior sample, with the
     same seeds, checkpoints and stopping rule."""
-    sinks = sink_equilibria(build_reduced_response_graph(game))
+    sinks = sink_equilibria(game)
     lookup = group_ids(game.num_profiles, sinks)
     k = len(sinks)
     root = params.rng_seed
@@ -951,7 +949,7 @@ def test_total_variation():
                                  [np.nan] * 3, [np.inf] * 3])
 def test_non_finite_starts_rejected(fig2_game, bad):
     x = (np.array(bad), np.full(3, 1 / 3))
-    sinks = sink_equilibria(build_response_graph(fig2_game))
+    sinks = sink_equilibria(fig2_game)
     params = ReplicatorParams()
     with pytest.raises(ValueError, match="player 0"):
         simulate_to_sink(fig2_game, x, sinks, params, np.random.default_rng(0))

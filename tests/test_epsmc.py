@@ -9,7 +9,6 @@ from sinklimit import (
     ContractViolation,
     EpsilonMC,
     build_cmc,
-    build_response_graph,
     collapse_pseudosink,
     delete_epsilon_edges,
     epsmc,
@@ -24,6 +23,7 @@ from sinklimit import (
 )
 
 from conftest import bimatrix, row
+from test_graphs import brute_components, closure
 
 FIG3_EXPECTED = np.array(
     [
@@ -41,8 +41,7 @@ FIG3_EXPECTED = np.array(
 
 
 def collapsed_chain(game, tie_tolerance=0.0):
-    graph = build_response_graph(game, tie_tolerance)
-    return from_cmc(build_cmc(game, tie_tolerance), sink_equilibria(graph))
+    return from_cmc(build_cmc(game, tie_tolerance), sink_equilibria(game, tie_tolerance))
 
 
 def mc_exit_counts(P, start, absorbing, walkers, seed, max_steps=400_000):
@@ -148,7 +147,7 @@ def test_from_cmc_leaves_its_input_unchanged(fig2_game):
         return [a.copy() for m in (cmc.reg, cmc.eps) for a in (m.data, m.indices, m.indptr)]
 
     before, absorbing, origin = arrays(), cmc.absorbing.copy(), cmc.origin.copy()
-    chain = from_cmc(cmc, sink_equilibria(build_response_graph(fig2_game)))
+    chain = from_cmc(cmc, sink_equilibria(fig2_game))
     # the collapse happened
     assert np.flatnonzero(chain.absorbing).tolist() == [0, 8] and chain.origin[1] == 0
     for got, want in zip(arrays(), before):
@@ -167,27 +166,45 @@ def test_from_cmc_rejects_unclosed_sink(fig3_game):
 
 
 def test_rsccs_fig3_pseudosink(fig3_game):
-    part = rsccs(collapsed_chain(fig3_game))
-    assert part.pseudosinks() == [[8]]
-    label_of = {tuple(c): l for c, l in zip(part.components, part.labels)}
-    assert label_of[(0,)] == "sink"
-    assert label_of[(2,)] == "ordinary"
+    # (1,1) is a sink and (3,1) leaves by a regular edge: neither is returned.
+    assert rsccs(collapsed_chain(fig3_game)) == [[8]]
 
 
 def test_rsccs_without_eps_edges_has_no_pseudosinks():
     chain = EpsilonMC.from_edges(
         3, regular=[(0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.5)], absorbing=[2]
     )
-    part = rsccs(chain)
-    assert part.pseudosinks() == []
-    assert {tuple(c) for c in part.components} == {(0, 1), (2,)}
+    assert rsccs(chain) == []
 
 
 def test_rsccs_eps_two_cycle_stays_split():
     chain = EpsilonMC.from_edges(2, eps=[(0, 1, 1.0), (1, 0, 1.0)])
-    part = rsccs(chain)
-    assert part.components == [[0], [1]]
-    assert part.labels == ["pseudosink", "pseudosink"]
+    assert rsccs(chain) == [[0], [1]]
+
+
+def test_rsccs_match_brute_force_definition():
+    # Pseudosinks by definition: components of the live regular subgraph with
+    # no regular exit and at least one epsilon exit, checked every round.
+    found = 0
+    for seed in range(20):
+        chain = collapsed_chain(random_game(seed, 3, (2, 2, 3), "integer", int_max=1))
+        while True:
+            live = chain.live_nodes()
+            reach = closure(chain.reg[live][:, live])
+            eps = chain.eps[live][:, live].toarray() != 0
+            want = []
+            for comp in brute_components(reach):
+                outside = np.ones(len(live), dtype=bool)
+                outside[comp] = False
+                if reach[comp[0]].sum() == len(comp) and eps[np.ix_(comp, outside)].any():
+                    want.append(live[comp].tolist())
+            pseudos = rsccs(chain)
+            assert pseudos == want
+            if not pseudos:
+                break
+            found += len(pseudos)
+            collapse_pseudosink(chain, pseudos)
+    assert found > 0
 
 
 # -- orders ----------------------------------------------------------------------
@@ -309,7 +326,7 @@ def test_batch_collapse_matches_one_at_a_time():
         absorbing=[3, 4],
     )
     batch = EpsilonMC.from_edges(5, **edges)
-    pseudos = rsccs(batch).pseudosinks()
+    pseudos = rsccs(batch)
     assert pseudos == [[0], [1, 2]]
     collapse_pseudosink(batch, pseudos)
     serial = EpsilonMC.from_edges(5, **edges)
@@ -357,7 +374,7 @@ def test_exit_rows_match_one_group_at_a_time():
     cases = [(exit_rows_chain(), [[0], [2, 1]], [np.ones(1), np.array([0.5, 0.5])])]
     for seed in (43, 51, 55):
         chain = collapsed_chain(random_game(seed, 4, (3,) * 4, mode="integer", int_max=2))
-        pseudos = rsccs(chain).pseudosinks()
+        pseudos = rsccs(chain)
         cases.append((chain, pseudos, [np.ones(1)] * len(pseudos)))
     for chain, groups, pis in cases:
         batch = epsmc._exit_rows(chain, groups, pis)
@@ -416,7 +433,9 @@ def test_fig3_exact_hitting_matrix(fig3_game):
     hit = limit_hitting_probabilities(fig3_game)
     assert hit.sinks == [[0], [4]]
     np.testing.assert_allclose(hit.probabilities, FIG3_EXPECTED, atol=1e-12)
-    assert hit.rounds == 1
+    assert hit.rounds == len(hit.pseudosink_counts) == 1
+    with pytest.raises(AttributeError):  # read from `pseudosink_counts`, never stored
+        hit.rounds = 2
     assert hit.order_trace == [1, 0]
     assert hit.pseudosink_counts == [1]
 
@@ -587,7 +606,7 @@ def test_collapse_invariance_of_singleton_pseudosinks():
             break
         game = random_game(seed, 2, (3, 3), mode="integer")
         chain = collapsed_chain(game)
-        singles = [c for c in rsccs(chain).pseudosinks() if len(c) == 1]
+        singles = [c for c in rsccs(chain) if len(c) == 1]
         if not singles:
             continue
         members = singles[0]

@@ -19,7 +19,7 @@ from sinklimit import (
 )
 from sinklimit.scc import sink_components, strongly_connected_components
 
-from conftest import bimatrix, row
+from conftest import bimatrix, full_graph, row
 
 
 def one_player(utilities) -> Game:
@@ -176,13 +176,6 @@ def test_response_graph_matches_enumeration():
         regular, ties = enumerated_edges(game, tol)
         assert graph.regular_edges.tolist() == regular
         assert graph.tie_edges.tolist() == ties
-        expected = [[] for _ in range(game.num_profiles)]
-        for u, v, *_ in regular:
-            expected[u].append(v)
-        for u, v, _ in ties:
-            expected[u].append(v)
-            expected[v].append(u)
-        assert successors(graph.adjacency) == tuple(tuple(sorted(a)) for a in expected)
 
 
 @pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
@@ -198,21 +191,19 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tolerance):
 
 def test_reduced_line_strictly_sorted():
     red = build_reduced_response_graph(one_player((1.0, 2.0, 3.0)))
-    assert successors(red.adjacency) == ((1,), (2,), ())
+    assert successors(red) == ((1,), (2,), ())
 
 
 def test_reduced_line_with_tie_pair():
     red = build_reduced_response_graph(one_player((2.0, 2.0, 5.0)))
-    assert successors(red.adjacency) == ((1,), (0, 2), ())
-    full = build_response_graph(one_player((2.0, 2.0, 5.0)))
-    assert reachable_sets(3, successors(red.adjacency)) == reachable_sets(
-        3, successors(full.adjacency)
-    )
+    assert successors(red) == ((1,), (0, 2), ())
+    full = full_graph(one_player((2.0, 2.0, 5.0)))
+    assert reachable_sets(3, successors(red)) == reachable_sets(3, successors(full))
 
 
 def test_reduced_line_trailing_tie_group():
     red = build_reduced_response_graph(one_player((5.0, 5.0)))
-    assert successors(red.adjacency) == ((1,), (0,))
+    assert successors(red) == ((1,), (0,))
 
 
 def test_reduced_graph_matches_line_sort():
@@ -239,8 +230,8 @@ def test_reduced_graph_matches_line_sort():
                                 expected[line[j]].add(line[start])
                             start = j + 1
             red = build_reduced_response_graph(game, tol)
-            assert successors(red.adjacency) == tuple(tuple(sorted(a)) for a in expected)
-            assert red.num_edges == sum(map(len, expected))
+            assert successors(red) == tuple(tuple(sorted(a)) for a in expected)
+            assert red.nnz == sum(map(len, expected))
 
 
 def test_reduced_closure_and_sinks_match_full():
@@ -250,22 +241,22 @@ def test_reduced_closure_and_sinks_match_full():
     for seed, p, counts in cases:
         for mode in ("continuous", "integer"):
             game = random_game(seed, p, counts, mode=mode)
-            full = build_response_graph(game)
+            full = full_graph(game)
             red = build_reduced_response_graph(game)
-            assert reachable_sets(game.num_profiles, successors(red.adjacency)) == (
-                reachable_sets(game.num_profiles, successors(full.adjacency))
+            assert reachable_sets(game.num_profiles, successors(red)) == (
+                reachable_sets(game.num_profiles, successors(full))
             )
-            full_sccs = {frozenset(c) for c in strongly_connected_components(full.adjacency)}
-            red_sccs = {frozenset(c) for c in strongly_connected_components(red.adjacency)}
+            full_sccs = {frozenset(c) for c in strongly_connected_components(full)}
+            red_sccs = {frozenset(c) for c in strongly_connected_components(red)}
             assert full_sccs == red_sccs
-            assert sink_equilibria(red) == sink_equilibria(full)
+            assert sink_equilibria(game) == sink_components(full)
 
 
 def test_reduced_edge_budget():
     for seed in range(20):
         game = random_game(seed, 2, (4, 4), mode="integer")
         red = build_reduced_response_graph(game)
-        per_node_per_line = red.num_edges / (game.num_profiles * game.num_players)
+        per_node_per_line = red.nnz / (game.num_profiles * game.num_players)
         assert per_node_per_line <= 1.5
 
 
@@ -273,16 +264,16 @@ def test_reduced_edge_budget():
 
 
 def test_fig2_sinks(fig2_game):
-    assert sink_equilibria(build_response_graph(fig2_game)) == [[0, 1, 3, 4], [8]]
+    assert sink_equilibria(fig2_game) == [[0, 1, 3, 4], [8]]
 
 
 def test_fig3_sinks(fig3_game):
-    assert sink_equilibria(build_response_graph(fig3_game)) == [[0], [4]]
+    assert sink_equilibria(fig3_game) == [[0], [4]]
 
 
 def test_dominant_profile_is_unique_singleton_sink():
     game = bimatrix([[(5, 5), (1, 1)], [(1, 1), (0, 0)]])
-    assert sink_equilibria(build_response_graph(game)) == [[0]]
+    assert sink_equilibria(game) == [[0]]
 
 
 # -- profile chain -----------------------------------------------------------
@@ -323,7 +314,7 @@ def test_cmc_sink_sccs_match_response_graph():
         game = random_game(seed, 2, (3, 3), mode="integer")
         chain = build_cmc(game)
         chain_sinks = sink_components(chain.reg + chain.eps)
-        assert chain_sinks == sink_equilibria(build_response_graph(game))
+        assert chain_sinks == sink_equilibria(game)
 
 
 # -- random games ------------------------------------------------------------
