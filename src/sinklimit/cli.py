@@ -5,6 +5,12 @@ are JSON except export-dot; every command is deterministic given its seed
 and flags.  Exit codes: 0 success, 2 input error, 3 numerical failure, each
 with a single-line diagnostic on stderr prefixed INPUT_ERROR or
 NUMERIC_ERROR.
+
+Sink-indexed outputs (`sink_labels`, the cells of each `hit` row, the
+`distribution` of `limit` and `simulate`) are keyed by the id `sink_<j>`, so
+their size does not grow with a sink's membership.  `sinks[j]` lists the
+profile ids of `sink_<j>`; the `sinks` command also gives their strategies
+in `sink_strategies[j]`.
 """
 
 import argparse
@@ -29,9 +35,8 @@ from .game import (
 )
 
 
-def _sink_label(index: int, sink, game) -> str:
-    members = ",".join(profile_label(pid, game) for pid in sink)
-    return f"sink_{index} {{{members}}}"
+def _sink_label(index: int) -> str:
+    return f"sink_{index}"
 
 
 @contextmanager
@@ -57,9 +62,9 @@ def _emit_json(args, payload: dict, rows=None) -> None:
     seconds on large `hit` outputs.  Each column's zero-cell text, its key and
     "0.0", is built once.  A row copies that list, overwrites the cells that
     are not +0.0 (`-0.0` included) with `float.__repr__`, json's text for
-    every finite float, and is written on its own.  A column key can be
-    megabytes long (a sink label lists its members), so only the zero cells
-    outlive their row.  The payload and both key lists must be non-empty.
+    every finite float, and is written on its own; most cells are zero, and
+    this is faster than running json's C encoder row by row.  The payload
+    and both key lists must be non-empty.
     """
     if rows is not None:
         row_keys, col_keys, matrix = rows
@@ -108,7 +113,7 @@ def cmd_sinks(args) -> int:
         "sink_strategies": [
             [[a + 1 for a in decode_profile(pid, game)] for pid in s] for s in sinks
         ],
-        "sink_labels": [_sink_label(j, s, game) for j, s in enumerate(sinks)],
+        "sink_labels": [_sink_label(j) for j in range(len(sinks))],
     }
     _emit_json(args, payload)
     return 0
@@ -122,7 +127,7 @@ def cmd_hit(args) -> int:
     else:
         hit = epsmc.limit_hitting_probabilities(game, args.tie_tolerance)
         method = "limit"
-    labels = [_sink_label(j, s, game) for j, s in enumerate(hit.sinks)]
+    labels = [_sink_label(j) for j in range(len(hit.sinks))]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "hit",
@@ -169,7 +174,7 @@ def _run_limit(args, force_simulation: bool) -> int:
         weights = _load_pure_weights(spec.split(":", 1)[1], game)
         if not force_simulation:
             dist = dynamics.exact_limit_distribution(game, weights, args.tie_tolerance)
-            return _emit_limit(args, game, dist, seed=None)
+            return _emit_limit(args, dist, seed=None)
         prior = dynamics.Prior.pure(weights, args.vertex_smoothing)
     else:
         try:
@@ -194,11 +199,11 @@ def _run_limit(args, force_simulation: bool) -> int:
         max_samples=args.max_samples,
         tie_tolerance=args.tie_tolerance,
     )
-    return _emit_limit(args, game, dist, seed=seed)
+    return _emit_limit(args, dist, seed=seed)
 
 
-def _emit_limit(args, game, dist: dynamics.LimitDistribution, seed) -> int:
-    labels = [_sink_label(j, s, game) for j, s in enumerate(dist.sinks)]
+def _emit_limit(args, dist: dynamics.LimitDistribution, seed) -> int:
+    labels = [_sink_label(j) for j in range(len(dist.sinks))]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "limit",

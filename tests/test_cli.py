@@ -13,6 +13,7 @@ import pytest
 import sinklimit.game
 from sinklimit import (
     ContractViolation,
+    Game,
     Prior,
     ReplicatorParams,
     SolverConvergenceError,
@@ -76,7 +77,7 @@ def test_sinks_one_by_one_game(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["sinks"] == [[0]]
-    assert payload["sink_labels"] == ["sink_0 {(1,1)}"]
+    assert payload["sink_labels"] == ["sink_0"]
 
 
 def test_hit_fig3_rows(tmp_path, capsys, fig3_game):
@@ -85,10 +86,41 @@ def test_hit_fig3_rows(tmp_path, capsys, fig3_game):
     payload = json.loads(out)
     assert payload["rounds"] == 1
     row = payload["rows"]["(3,3)"]
-    assert row["sink_0 {(1,1)}"] == 1.0
-    assert row["sink_1 {(2,2)}"] == 0.0
+    assert row["sink_0"] == 1.0
+    assert row["sink_1"] == 0.0
     member = payload["rows"]["(2,2)"]
-    assert member["sink_1 {(2,2)}"] == 1.0
+    assert member["sink_1"] == 1.0
+
+
+def test_hit_output_does_not_grow_with_sink_members(tmp_path, capsys):
+    # All-zero utilities: every profile ties with its neighbours, so the one
+    # sink holds all 729 profiles, which a key listing its members would repeat
+    # in every row.
+    game = Game((3,) * 6, tuple(np.zeros(3**6) for _ in range(6)))
+    code, out, _ = run_cli(capsys, "hit", write_game(tmp_path, game))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sinks"] == [list(range(3**6))]
+    assert len(payload["rows"]) == 3**6
+    assert all(row == {"sink_0": 1.0} for row in payload["rows"].values())
+    assert len(out) < 100 * 3**6
+
+
+def test_sink_keys_agree_across_commands(tmp_path, capsys, fig2_game):
+    gpath = write_game(tmp_path, fig2_game)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps([1 / 9] * 9))
+    outputs = []
+    for argv in (["sinks", gpath], ["hit", gpath], ["limit", gpath, f"pure:{wpath}"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(json.loads(out))
+    sinks, hit, limit = outputs
+    keys = ["sink_0", "sink_1"]
+    assert sinks["sink_labels"] == hit["sink_labels"] == keys
+    assert all(list(row) == keys for row in hit["rows"].values())
+    assert list(limit["distribution"]) == keys
+    assert sinks["sinks"] == hit["sinks"] == limit["sinks"] == [[0, 1, 3, 4], [8]]
 
 
 def test_hit_oracle_flag_agrees(tmp_path, capsys):
@@ -130,10 +162,7 @@ def old_hit_payload(game, eps=None) -> dict:
         hit, method = limit_hitting_probabilities(game), "limit"
     else:
         hit, method = oracle_hitting_matrix(game, float(eps)), "oracle"
-    labels = [
-        f"sink_{j} {{{','.join(profile_label(pid, game) for pid in s)}}}"
-        for j, s in enumerate(hit.sinks)
-    ]
+    labels = [f"sink_{j}" for j in range(len(hit.sinks))]
     rows = {
         profile_label(pid, game): dict(zip(labels, row))
         for pid, row in enumerate(hit.probabilities.tolist())
@@ -250,9 +279,9 @@ def test_limit_pure_prior_exact(tmp_path, capsys, fig3_game):
     payload = json.loads(out)
     assert payload["method"] == "exact"
     dist = payload["distribution"]
-    total = dist["sink_0 {(1,1)}"] + dist["sink_1 {(2,2)}"]
+    total = dist["sink_0"] + dist["sink_1"]
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert dist["sink_0 {(1,1)}"] == pytest.approx(
+    assert dist["sink_0"] == pytest.approx(
         np.mean([1, 19 / 30, 1, 0.6, 0, 0.5, 13 / 15, 1 / 3, 1]), abs=1e-9
     )
 
@@ -310,7 +339,7 @@ def test_payoff_gains_near_the_float_limit_solve(tmp_path, capsys):
     code, out, err = run_cli(capsys, "hit", str(gpath))
     assert (code, err) == (0, "")
     rows = json.loads(out)["rows"]
-    assert rows == {f"({a})": {"sink_0 {(3)}": 1.0} for a in (1, 2, 3)}
+    assert rows == {f"({a})": {"sink_0": 1.0} for a in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
@@ -446,7 +475,7 @@ def test_simulate_forces_simulation_for_pure_prior(tmp_path, capsys, fig3_game):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "simulation"
-    assert payload["distribution"]["sink_0 {(1,1)}"] == 1.0
+    assert payload["distribution"]["sink_0"] == 1.0
 
 
 def test_limit_uniform_deterministic_bytes(tmp_path, capsys, matching_pennies):
@@ -458,7 +487,7 @@ def test_limit_uniform_deterministic_bytes(tmp_path, capsys, matching_pennies):
     assert code_a == code_b == 0
     assert out_a == out_b
     payload = json.loads(out_a)
-    mass = payload["distribution"]["sink_0 {(1,1),(2,1),(1,2),(2,2)}"]
+    mass = payload["distribution"]["sink_0"]
     assert mass + payload["non_converged"] == pytest.approx(1.0, abs=1e-12)
     assert mass > 0.5
 
