@@ -175,7 +175,7 @@ def _run_limit(args, force_simulation: bool) -> int:
         if not force_simulation:
             dist = dynamics.exact_limit_distribution(game, weights, args.tie_tolerance)
             return _emit_limit(args, dist, seed=None)
-        prior = dynamics.Prior.pure(weights, args.vertex_smoothing)
+        prior = dynamics.Prior.pure(weights)
     else:
         try:
             prior = dynamics.Prior.parse(spec)
@@ -187,8 +187,7 @@ def _run_limit(args, force_simulation: bool) -> int:
         )
     seed = _require_seed(args)
     params = dynamics.ReplicatorParams(
-        eta=args.eta, delta=args.delta, extinction_floor=args.extinction_floor,
-        max_steps=args.max_steps, window=args.window, rng_seed=seed,
+        eta=args.eta, delta=args.delta, max_steps=args.max_steps, rng_seed=seed,
     )
     dist = dynamics.estimate_limit_distribution(
         game,
@@ -293,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent runs per prior sample (default 40)")
         p.add_argument("--max-samples", type=int, default=512,
                        help="prior sample budget")
-        p.add_argument("--window", type=int, default=50,
-                       help="consecutive in-sink steps needed to classify")
-        p.add_argument("--extinction-floor", type=float, default=1e-9,
-                       help="probabilities below this go extinct")
-        p.add_argument("--vertex-smoothing", type=float, default=0.1,
-                       help="tail mass when simulating from a pure-profile prior")
         p.set_defaults(func=functools.partial(_run_limit, force_simulation=name == "simulate"))
 
     p = sub.add_parser("export-dot", help="render the better-response graph as DOT")

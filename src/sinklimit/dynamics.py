@@ -24,6 +24,15 @@ zero and never enters a support.  Each run draws its noise from its own
 generator, seeded by a splittable (root, sample, run) scheme, so a run's
 trajectory does not depend on which runs share its batch and results are
 bit-identical for a given root seed.
+
+The dynamics has two parameters, `eta` and `delta`.  Six module constants
+fix the estimator's own rules:
+- `_NOISE_BLOCK`: steps drawn and classified at once; no result depends on it.
+- `_CHECKPOINT_EVERY`: prior samples batched between stopping-rule checks.
+- `_VERTEX_TOLERANCE`: how near a vertex counts as close for classification.
+- `_WINDOW`: in-sink steps that classify a run, so passing through a sink does not.
+- `_EXTINCTION_FLOOR`: probabilities below it go extinct, so supports can shrink.
+- `_VERTEX_SMOOTHING`: mass spread at a pure prior's start; an exact vertex is frozen.
 """
 
 import functools
@@ -41,26 +50,23 @@ from .scc import group_ids
 _NOISE_BLOCK = 64
 _CHECKPOINT_EVERY = 8
 _VERTEX_TOLERANCE = 0.05
+_WINDOW = 50
+_EXTINCTION_FLOOR = 1e-9
+_VERTEX_SMOOTHING = 0.1
 
 
 @dataclass(frozen=True)
 class ReplicatorParams:
-    """Step length, noise scale, and classification knobs of the dynamics."""
+    """Step length, noise scale, step budget and root seed of the dynamics."""
 
     eta: float = 0.01
     delta: float = 0.005
-    extinction_floor: float = 1e-9
     max_steps: int = 100_000
-    window: int = 50
     rng_seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.eta < math.inf and 0 < self.delta < math.inf):
             raise ValueError("eta and delta must be finite and positive")
-        if not 0 <= self.extinction_floor < math.inf:
-            raise ValueError("extinction_floor must be finite and nonnegative")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
 
@@ -147,13 +153,12 @@ class Prior:
     `uniform` and `dirichlet` draw each player's vector from a symmetric
     Dirichlet (alpha 1 is the uniform distribution over the simplex);
     `pure` draws a pure profile from explicit weights and starts at its
-    smoothed vertex.
+    vertex smoothed by `_VERTEX_SMOOTHING`.
     """
 
     kind: str
     alpha: float = 1.0
     weights: tuple = ()
-    vertex_smoothing: float = 0.1
 
     @classmethod
     def parse(cls, text: str) -> "Prior":
@@ -167,12 +172,9 @@ class Prior:
         raise ValueError(f"unknown prior spec {text!r}")
 
     @classmethod
-    def pure(cls, weights, vertex_smoothing: float = 0.1) -> "Prior":
+    def pure(cls, weights) -> "Prior":
         w = _check_pure_weights(weights)
-        if not 0 <= vertex_smoothing <= 1:
-            raise ValueError(f"vertex smoothing must be in [0, 1], got {vertex_smoothing}")
-        return cls("pure", weights=tuple(float(v) for v in w),
-                   vertex_smoothing=vertex_smoothing)
+        return cls("pure", weights=tuple(float(v) for v in w))
 
     def sample(self, game: Game, rng) :
         if self.kind in ("uniform", "dirichlet"):
@@ -186,7 +188,7 @@ class Prior:
                     f"pure prior has {len(w)} weights for {game.num_profiles} profiles"
                 )
             pid = int(rng.choice(game.num_profiles, p=w / w.sum()))
-            return vertex_profile(game, pid, self.vertex_smoothing)
+            return vertex_profile(game, pid, _VERTEX_SMOOTHING)
         raise ValueError(f"unknown prior kind {self.kind!r}")
 
 
@@ -338,7 +340,7 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray,
     V += noise_row  # the projection reads V on the support only
     widest = X.shape[2]
     rows = _project_rows(V.reshape(-1, widest), mask.reshape(-1, widest),
-                         params.extinction_floor, consts.ranks, consts.row_ids)
+                         _EXTINCTION_FLOOR, consts.ranks, consts.row_ids)
     return rows.reshape(X.shape)
 
 
@@ -370,8 +372,7 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
 
-def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, window: int, done: int,
-                  streak):
+def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, done: int, streak):
     """Classify the runs of one noise block in one pass.
 
     `H[t]` is the padded batch after step `done + t + 1`; it is overwritten.
@@ -394,7 +395,7 @@ def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, window: int, done
     t = np.arange(done + 1, done + len(H) + 1)[:, None]
     start = np.maximum.accumulate(np.where(s != np.vstack([sink, s[:-1]]), t, start))
     last = np.maximum.accumulate(np.where(close, t, last))
-    settled = ((s >= 0) & (t - start >= window - 1) & (last >= start)) | frozen
+    settled = ((s >= 0) & (t - start >= _WINDOW - 1) & (last >= start)) | frozen
     hit = settled.any(axis=0)
     return hit, s[settled.argmax(axis=0)[hit], hit], (s[-1], start[-1], last[-1])
 
@@ -437,7 +438,7 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
             X = _step_batch(game, X, params, block[t], consts)
             H[t] = X
         del block
-        hit, sinks, streak = _settle_block(H, sink_of, strides, params.window, done, streak)
+        hit, sinks, streak = _settle_block(H, sink_of, strides, done, streak)
         del H
         result[live[hit]] = sinks
         keep = ~hit

@@ -110,12 +110,11 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
 
 
 def rsccs(chain: EpsilonMC) -> list[list[int]]:
-    """Pseudosinks of `chain`: the components of its live nodes under regular
-    edges that no regular edge leaves and some epsilon edge does, each
-    sorted, ordered by smallest member."""
-    live = chain.live_nodes()
-    # `live` ascends, so the components keep their smallest-member order.
-    comps = [live[c].tolist() for c in sink_components(chain.reg[live][:, live])]
+    """Pseudosinks of `chain`: the components under regular edges that no
+    regular edge leaves and some epsilon edge does, each sorted, ordered by
+    smallest member.  Dead and absorbing nodes have no out-edges, so they
+    are singleton sink components that no epsilon edge leaves."""
+    comps = sink_components(chain.reg)
     return [c for c, eps_out in zip(comps, leaving(comps, chain.eps)) if eps_out]
 
 

@@ -14,7 +14,6 @@ import sinklimit.game
 from sinklimit import (
     ContractViolation,
     Game,
-    Prior,
     ReplicatorParams,
     SolverConvergenceError,
     build_response_graph,
@@ -358,23 +357,15 @@ def test_tie_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, fig3_gam
     ["uniform", "--runs-per-sample", "0"],
     ["uniform", "--eta", "nan"],
     ["uniform", "--delta", "inf"],
-    ["uniform", "--extinction-floor", "nan"],
     ["uniform", "--tv-tol", "nan"],
     ["dirichlet:nan"],
     ["dirichlet:inf"],
-    ["pure", "--vertex-smoothing", "nan"],
-    ["pure", "--vertex-smoothing", "2"],
-    ["pure", "--vertex-smoothing=-0.5"],
     ["uniform", "--runs-per-sample", str(10 ** 400)],
     ["uniform", "--runs-per-sample", str(np.iinfo(np.intp).max + 1)],
 ])
 def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
     gpath = write_game(tmp_path, fig2_game)
     prior, *flags = bad
-    if prior == "pure":
-        wpath = tmp_path / "weights.json"
-        wpath.write_text(json.dumps([1.0] + [0.0] * 8))
-        prior = f"pure:{wpath}"
     code, out, err = run_cli(
         capsys, "simulate", gpath, prior, "--seed", "1", "--max-steps", "200",
         "--max-samples", "2", "--runs-per-sample", "2", *flags,
@@ -708,6 +699,12 @@ def test_flags_only_on_commands_that_read_them(tmp_path, capsys, fig3_game, argv
 def test_cli_defaults_equal_library_defaults(command):
     # `build_parser` repeats each default; a library change must not leave it behind.
     args = build_parser().parse_args([command, "game.json", "uniform"])
+    # Every option is checked below or is an input, so none can come back
+    # without a library default to match.
+    assert set(vars(args)) - {"command", "func"} == {
+        "game", "prior", "tie_tolerance", "output", "seed", "eta", "delta", "tv_tol",
+        "max_steps", "runs_per_sample", "max_samples",
+    }
     params = ReplicatorParams()
     for f in dataclasses.fields(ReplicatorParams):
         if f.name != "rng_seed":  # `--seed` has no default: stochastic commands require it
@@ -715,8 +712,6 @@ def test_cli_defaults_equal_library_defaults(command):
     estimate = inspect.signature(estimate_limit_distribution).parameters
     for name in ("tv_tol", "runs_per_sample", "max_samples", "tie_tolerance"):
         assert getattr(args, name) == estimate[name].default, name
-    pure = inspect.signature(Prior.pure).parameters
-    assert args.vertex_smoothing == pure["vertex_smoothing"].default
 
 
 def test_malformed_game_file(tmp_path, capsys):

@@ -68,7 +68,7 @@ def reference_simulate(game, x0, sinks, params, rng):
             streak_sink, streak_len, streak_close = s, 1, close
         else:
             streak_sink, streak_len, streak_close = -2, 0, False
-        if streak_len >= params.window and streak_close:
+        if streak_len >= sinklimit.dynamics._WINDOW and streak_close:
             return s
         if all(int(np.sum(xi > 0)) == 1 for xi in x):
             return s if s >= 0 else None
@@ -315,7 +315,7 @@ def reference_step_batch(game, X, params, noise_row):
         V = X[i].copy()
         V[np.arange(runs), idx] += params.eta
         V += params.delta * noise_row[:, offsets[i] : offsets[i + 1]] * mask
-        out.append(reference_project_rows(V, mask, params.extinction_floor))
+        out.append(reference_project_rows(V, mask, sinklimit.dynamics._EXTINCTION_FLOOR))
     return out
 
 
@@ -357,7 +357,7 @@ def reference_simulate_batch(game, x0, sink_of, params, rngs):
         streak_len = np.where(same, streak_len + 1, in_sink)
         streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
         streak_sink = s
-        settled = ((streak_len >= params.window) & streak_close) | frozen
+        settled = ((streak_len >= sinklimit.dynamics._WINDOW) & streak_close) | frozen
         result[live[settled]] = s[settled]
         keep = ~settled
         if not keep.all():
@@ -392,7 +392,8 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
     """Padding is bit-identical to stepping each player's unpadded rows; the
     floors 0.2 and 0.45 drive re-projection and the dead-row fallback."""
     game = random_game(7, len(counts), counts)
-    params = ReplicatorParams(delta=0.05, extinction_floor=floor)
+    monkeypatch.setattr(sinklimit.dynamics, "_EXTINCTION_FLOOR", floor)
+    params = ReplicatorParams(delta=0.05)
     rng = np.random.default_rng(11)
     ref = mixed_starts(game, rng, 12)
     X = sinklimit.dynamics._pad(game, ref, 12)
@@ -449,7 +450,7 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
 # is classified as well as where.
 @pytest.mark.parametrize("counts, seed", zip(UNEQUAL_COUNTS, (4, 6, 7, 6, 7)))
 @pytest.mark.parametrize("floor", [1e-9, 0.2])
-def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
+def test_padded_simulation_matches_per_player_reference(counts, seed, floor, monkeypatch):
     game = random_game(seed, len(counts), counts)
     lookup = group_ids(game.num_profiles, sink_equilibria(game))
     x0 = mixed_starts(game, np.random.default_rng(5), 15)
@@ -457,8 +458,9 @@ def test_padded_simulation_matches_per_player_reference(counts, seed, floor):
     def rngs():
         return [np.random.default_rng(np.random.SeedSequence([9, r])) for r in range(15)]
 
+    monkeypatch.setattr(sinklimit.dynamics, "_EXTINCTION_FLOOR", floor)
     for max_steps in (60, 1500):
-        params = ReplicatorParams(extinction_floor=floor, max_steps=max_steps)
+        params = ReplicatorParams(max_steps=max_steps)
         got = _simulate_batch(game, x0, lookup, params, rngs())
         want = reference_simulate_batch(game, x0, lookup, params, rngs())
         np.testing.assert_array_equal(got, want)
@@ -511,9 +513,10 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
         lookup = group_ids(g.num_profiles, sink_equilibria(g))
         x0 = [np.vstack([r, x]) for r, x in zip(rows, start)]
         for window in (20, 100):
+            monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
             outcomes = []
             for max_steps in (60, 131, 1500):
-                params = ReplicatorParams(window=window, max_steps=max_steps)
+                params = ReplicatorParams(max_steps=max_steps)
                 got = _simulate_batch(g, x0, lookup, params, rngs())
                 want = reference_simulate_batch(g, x0, lookup, params, rngs())
                 np.testing.assert_array_equal(got, want)
@@ -526,15 +529,16 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
 
 
 @pytest.mark.parametrize("window", [1, 20, 64, 65, 130])
-def test_window_completing_at_the_budget_classifies(fig2_game, window):
+def test_window_completing_at_the_budget_classifies(fig2_game, monkeypatch, window):
     # The start is close to the vertex (1,1) of the 4-cycle sink and its
     # nearest profile never leaves the cycle, so its window completes at
     # step `window`.
     sinks = sink_equilibria(fig2_game)
     x0 = tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2))
+    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
 
     def outcome(max_steps):
-        params = ReplicatorParams(window=window, max_steps=max_steps)
+        params = ReplicatorParams(max_steps=max_steps)
         return simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(1))
 
     assert (outcome(window - 1), outcome(window)) == (None, 0)
@@ -554,7 +558,8 @@ def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, 
     path = iter([cycle] * 3 + [strict] * 100)
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
                         lambda game, X, *rest: sinklimit.dynamics._pad(game, next(path), 1))
-    params = ReplicatorParams(window=window, max_steps=max_steps)
+    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
+    params = ReplicatorParams(max_steps=max_steps)
     assert simulate_to_sink(fig2_game, cycle, sinks, params, np.random.default_rng(0)) == want
 
 
@@ -732,7 +737,7 @@ def test_estimate_consistent_with_exact_on_pinned_no_tie_games():
         exact = exact_limit_distribution(game, w)
         est = estimate_limit_distribution(
             game,
-            Prior.pure(w, vertex_smoothing=0.1),
+            Prior.pure(w),
             ReplicatorParams(rng_seed=99),
             max_samples=64,
         )
@@ -980,5 +985,3 @@ def test_replicator_params_validation():
         ReplicatorParams(eta=0.0)
     with pytest.raises(ValueError):
         ReplicatorParams(delta=-1.0)
-    with pytest.raises(ValueError):
-        ReplicatorParams(window=0)
