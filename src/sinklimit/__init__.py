@@ -21,7 +21,6 @@ from .dynamics import (
 )
 from .epsmc import (
     HittingMatrix,
-    OrderLabels,
     collapse_pseudosink,
     delete_epsilon_edges,
     from_cmc,

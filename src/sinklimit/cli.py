@@ -205,7 +205,7 @@ def _emit_limit(args, dist: dynamics.LimitDistribution, seed) -> int:
     labels = [_sink_label(j) for j in range(len(dist.sinks))]
     payload = {
         "schema": SCHEMA_VERSION,
-        "command": "limit",
+        "command": args.command,
         "method": dist.method,
         "seed": seed,
         "sinks": [list(s) for s in dist.sinks],

@@ -146,19 +146,20 @@ def vertex_profile(game: Game, profile_id: int, smoothing: float = 0.0):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
     """Sampler over mixed strategy profiles.
 
     `uniform` and `dirichlet` draw each player's vector from a symmetric
     Dirichlet (alpha 1 is the uniform distribution over the simplex);
-    `pure` draws a pure profile from explicit weights and starts at its
-    vertex smoothed by `_VERTEX_SMOOTHING`.
+    `pure` draws a pure profile from explicit weights, kept as a read-only
+    float64 array so no draw converts them again, and starts at its vertex
+    smoothed by `_VERTEX_SMOOTHING`.  Priors compare by identity.
     """
 
     kind: str
     alpha: float = 1.0
-    weights: tuple = ()
+    weights: np.ndarray = ()
 
     @classmethod
     def parse(cls, text: str) -> "Prior":
@@ -173,8 +174,9 @@ class Prior:
 
     @classmethod
     def pure(cls, weights) -> "Prior":
-        w = _check_pure_weights(weights)
-        return cls("pure", weights=tuple(float(v) for v in w))
+        w = _check_pure_weights(weights).copy()
+        w.flags.writeable = False
+        return cls("pure", weights=w)
 
     def sample(self, game: Game, rng) :
         if self.kind in ("uniform", "dirichlet"):
@@ -182,7 +184,7 @@ class Prior:
                 rng.dirichlet(np.full(s, self.alpha)) for s in game.strategy_counts
             )
         if self.kind == "pure":
-            w = np.asarray(self.weights)
+            w = self.weights
             if len(w) != game.num_profiles:
                 raise ValueError(
                     f"pure prior has {len(w)} weights for {game.num_profiles} profiles"

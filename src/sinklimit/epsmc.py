@@ -11,7 +11,9 @@ the job.
 
 The chain type, `EpsilonMC`, with its boolean mask of absorbing nodes,
 lives in `game` next to `build_cmc`, which builds it.  This module holds
-the algorithm, `_collapse` included, and `game` does not import it.
+the algorithm, and `game` does not import it.  One step, `_collapse`,
+collapses both the sinks and each round's pseudosinks, the latter with
+their exit rows.
 """
 
 from collections import deque
@@ -26,24 +28,63 @@ from .game import EpsilonMC, _csr, build_cmc, sink_equilibria
 from .scc import group_ids, leaving, sink_components
 
 
-def _collapse(chain: EpsilonMC, groups, new_rows=None) -> None:
+def _collapse(chain: EpsilonMC, groups, pis=None) -> None:
     """Replace each group of members with a single node (its smallest id), in place.
 
-    One relabelling of both edge classes: the members' rows are dropped,
-    every column is mapped through the new labels and parallel edges are
-    summed, so edges among the members of a group vanish, and no member
-    stays absorbing.  The caller supplies the collapsed nodes' regular
-    out-rows, if any, in `new_rows` as ``(rep, target, weight)`` arrays (see
-    `_exit_rows`), over targets as they were before the collapse.
+    With `pis=None` the groups are sinks: no edge of either class may leave
+    one, and each representative becomes absorbing.  Otherwise they are
+    pseudosinks: no regular edge may leave one, each must have an epsilon
+    exit, and `pis[g]` is the stationary distribution of group g's internal
+    regular chain, aligned with its sorted members.  A pseudosink's new
+    regular out-row gives each external target y the weight
+
+        W(y) = sum of coeff(x -> y) * pi[x]  /  total over all exits,
+
+    which sums to one over its targets.  Then one relabelling of both edge
+    classes: the members' rows are dropped, every column is mapped through
+    the new labels and parallel edges are summed, so edges among the members
+    of a group vanish, and no member stays absorbing.  Exit rows hold only
+    edges that leave their group, so no collapsed node points into itself.
     """
-    n = chain.num_original
+    n, k = chain.num_original, len(groups)
     group_of = group_ids(n, groups)
     is_member = group_of >= 0
     nodes = np.flatnonzero(is_member)
-    reps = nodes[np.unique(group_of[nodes], return_index=True)[1]]  # smallest members
+    members = nodes[np.argsort(group_of[nodes], kind="stable")]  # group by group, sorted
+    member_group = group_of[members]
+    reps = members[np.searchsorted(member_group, np.arange(k))]  # smallest members
     label = np.where(is_member, reps[group_of], np.arange(n))
-    if new_rows is not None and np.any(label[new_rows[1]] == new_rows[0]):
-        raise ContractViolation("collapsed node cannot point into itself")
+    if pis is not None:
+        if any(np.shape(pi) != (len(g),) for g, pi in zip(groups, pis)):
+            raise ContractViolation("stationary vector does not match the component")
+        pi = np.concatenate(pis, dtype=float)
+        pi_total = np.bincount(member_group, weights=pi, minlength=k)
+        if not np.all(np.abs(pi_total - 1.0) <= 1e-9) or np.any(pi < 0):
+            raise ContractViolation("stationary vector is not a normalized distribution")
+    reg = chain.reg[members].tocoo()
+    escapes = np.flatnonzero(group_of[reg.col] != member_group[reg.row])
+    if escapes.size:
+        u, v = members[reg.row[escapes[0]]], reg.col[escapes[0]]
+        raise ContractViolation(
+            f"a regular edge leaves supposed sink {groups[group_of[u]]}" if pis is None
+            else f"component has regular out-edge {u}->{v}; not a pseudosink"
+        )
+    eps = chain.eps[members].tocoo()
+    src = member_group[eps.row]
+    out = group_of[eps.col] != src
+    exit_rows = ()
+    if pis is None:
+        if out.any():
+            raise ContractViolation(f"a eps edge leaves supposed sink {groups[src[out][0]]}")
+    else:
+        if not np.all(np.bincount(src[out], minlength=k)):
+            raise ContractViolation("component has no outgoing eps edge; not a pseudosink")
+        # Row-major order: the masses add up member by member, as in the
+        # formula, and each group's total adds its masses up target by target.
+        keys, slot = np.unique(src[out] * n + eps.col[out], return_inverse=True)
+        mass = np.bincount(slot, weights=eps.data[out] * pi[eps.row[out]])
+        group = keys // n
+        exit_rows = ((reps[group], keys % n, mass / np.bincount(group, weights=mass)[group]),)
 
     def relabel(matrix, extra=()):
         coo = matrix.tocoo()
@@ -52,19 +93,12 @@ def _collapse(chain: EpsilonMC, groups, new_rows=None) -> None:
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
         return _csr(n, rows, label[cols], vals)
 
-    chain.reg = relabel(chain.reg, () if new_rows is None else (new_rows,))
+    chain.reg = relabel(chain.reg, exit_rows)
     chain.eps = relabel(chain.eps)
     chain.absorbing = chain.absorbing & ~is_member
+    if pis is None:
+        chain.absorbing[reps] = True
     chain.origin = label[chain.origin]
-
-
-@dataclass
-class OrderLabels:
-    """Minimum number of epsilon edges on any path to an absorbing node,
-    per original id; -1 for a node that reaches none (every dead node)."""
-
-    order: np.ndarray
-    max_order: int
 
 
 @dataclass
@@ -99,13 +133,8 @@ def from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> EpsilonMC:
     raises.  Each sink's smallest member becomes absorbing.  The input chain
     is not modified: `_collapse` writes new matrices and arrays.
     """
-    for kind, matrix in (("regular", cmc.reg), ("eps", cmc.eps)):
-        left = np.flatnonzero(leaving(sinks, matrix))
-        if left.size:
-            raise ContractViolation(f"a {kind} edge leaves supposed sink {sinks[left[0]]}")
     chain = EpsilonMC(cmc.reg, cmc.eps, cmc.absorbing, cmc.origin)
     _collapse(chain, sinks)
-    chain.absorbing[[min(s) for s in sinks]] = True
     return chain
 
 
@@ -118,10 +147,13 @@ def rsccs(chain: EpsilonMC) -> list[list[int]]:
     return [c for c, eps_out in zip(comps, leaving(comps, chain.eps)) if eps_out]
 
 
-def node_orders(chain: EpsilonMC) -> OrderLabels:
+def node_orders(chain: EpsilonMC) -> np.ndarray:
     """Exact orders via 0-1 BFS over the reversed graph from the absorbing nodes.
 
-    Regular edges cost 0, epsilon edges cost 1.  Every live node must reach
+    The order of a node is the minimum number of epsilon edges on any path
+    from it to an absorbing node, per original id; -1 for a node that
+    reaches none (every dead node).  Regular edges cost 0, epsilon edges
+    cost 1.  Every live node must reach
     an absorbing node (guaranteed after sink collapse), otherwise the chain
     is malformed and this raises.
     """
@@ -155,69 +187,24 @@ def node_orders(chain: EpsilonMC) -> OrderLabels:
         raise ContractViolation(
             f"nodes {stranded[:5].tolist()} cannot reach any absorbing node"
         )
-    return OrderLabels(order, int(order.max()))
+    return order
 
 
 def collapse_pseudosink(chain: EpsilonMC, groups: list[list[int]]) -> EpsilonMC:
     """Collapse each pseudosink of `groups` into one node, in place.
 
-    One collapse round: each group's exit row (see `_exit_rows`) is weighted
+    One collapse round: each group's exit row (see `_collapse`) is weighted
     by the stationary distribution of its internal regular-edge chain, all
     read from the chain as the round found it.  One pseudosink is collapsed
     as ``collapse_pseudosink(chain, [members])``.
     """
     pis = [solver.stationary_distribution(chain.reg[m][:, m]) if len(m) > 1 else np.ones(1)
            for m in groups]
-    _collapse(chain, groups, new_rows=_exit_rows(chain, groups, pis))
+    _collapse(chain, groups, pis)
     return chain
 
 
-def _exit_rows(chain: EpsilonMC, groups: list[list[int]], pis: list[np.ndarray]):
-    """Regular out-rows of the pseudosinks `groups` once collapsed, as
-    ``(rep, target, weight)`` arrays ordered by group, then by target.
-
-    `pis[g]` is the stationary distribution of group g's internal regular
-    chain, aligned with its sorted members, and `rep` is the group's
-    smallest member.  Each external target y of a group gets weight
-
-        W(y) = sum of coeff(x -> y) * pi[x]  /  total over all exits,
-
-    which sums to one over the group's targets.
-    """
-    n, k = chain.num_original, len(groups)
-    group_of = group_ids(n, groups)
-    nodes = np.flatnonzero(group_of >= 0)
-    members = nodes[np.argsort(group_of[nodes], kind="stable")]  # group by group, sorted
-    member_group = group_of[members]
-    if any(np.shape(pi) != (len(g),) for g, pi in zip(groups, pis)):
-        raise ContractViolation("stationary vector does not match the component")
-    pi = np.concatenate(pis, dtype=float)
-    pi_total = np.bincount(member_group, weights=pi, minlength=k)
-    if not np.all(np.abs(pi_total - 1.0) <= 1e-9) or np.any(pi < 0):
-        raise ContractViolation("stationary vector is not a normalized distribution")
-    reg = chain.reg[members].tocoo()
-    escapes = np.flatnonzero(group_of[reg.col] != member_group[reg.row])
-    if escapes.size:
-        i = escapes[0]
-        raise ContractViolation(
-            f"component has regular out-edge {members[reg.row[i]]}->{reg.col[i]}; "
-            "not a pseudosink"
-        )
-    eps = chain.eps[members].tocoo()
-    src = member_group[eps.row]
-    out = group_of[eps.col] != src
-    if not np.all(np.bincount(src[out], minlength=k)):
-        raise ContractViolation("component has no outgoing eps edge; not a pseudosink")
-    # Row-major order: the masses add up member by member, as in the formula,
-    # and each group's total adds its masses up target by target.
-    keys, slot = np.unique(src[out] * n + eps.col[out], return_inverse=True)
-    mass = np.bincount(slot, weights=eps.data[out] * pi[eps.row[out]])
-    group = keys // n
-    rep = members[np.searchsorted(member_group, group)]
-    return rep, keys % n, mass / np.bincount(group, weights=mass)[group]
-
-
-def delete_epsilon_edges(chain: EpsilonMC, orders: OrderLabels) -> EpsilonMC:
+def delete_epsilon_edges(chain: EpsilonMC, orders: np.ndarray) -> EpsilonMC:
     """Remove every epsilon edge, in place.
 
     `orders` must be `node_orders(chain)` of the chain as it stands; this
@@ -226,10 +213,8 @@ def delete_epsilon_edges(chain: EpsilonMC, orders: OrderLabels) -> EpsilonMC:
     removal provably leaves the limit hitting probabilities unchanged and no
     reweighting is needed.
     """
-    if orders.max_order > 0:
-        raise ContractViolation(
-            f"cannot delete eps edges at max order {orders.max_order} > 0"
-        )
+    if orders.max() > 0:
+        raise ContractViolation(f"cannot delete eps edges at max order {orders.max()} > 0")
     chain.eps = sp.csr_matrix(chain.eps.shape)
     return chain
 
@@ -260,24 +245,20 @@ def limit_hitting_from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> HittingMat
     """
     chain = from_cmc(cmc, sinks)
     orders = node_orders(chain)
-    trace = [orders.max_order]
+    trace = [int(orders.max())]
     pseudo_counts: list[int] = []
-    while orders.max_order > 0:
+    while trace[-1] > 0:
         pseudos = rsccs(chain)
         if not pseudos:
-            raise ContractViolation(
-                f"max order is {orders.max_order} but no pseudosink exists"
-            )
+            raise ContractViolation(f"max order is {trace[-1]} but no pseudosink exists")
         pseudo_counts.append(len(pseudos))
         collapse_pseudosink(chain, pseudos)
-        new_orders = node_orders(chain)
-        if new_orders.max_order >= orders.max_order:
+        orders = node_orders(chain)
+        if orders.max() >= trace[-1]:
             raise ContractViolation(
-                "collapse round failed to reduce the max order "
-                f"({orders.max_order} -> {new_orders.max_order})"
+                f"collapse round failed to reduce the max order ({trace[-1]} -> {orders.max()})"
             )
-        orders = new_orders
-        trace.append(orders.max_order)
+        trace.append(int(orders.max()))
     delete_epsilon_edges(chain, orders)
     nodes = chain.live_nodes()
     result = solver.absorption_probabilities(solver.chain_matrix(chain, nodes))

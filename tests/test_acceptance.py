@@ -78,8 +78,8 @@ def test_criterion_2_fig3_pseudosink(fig3_game):
     hit = limit_hitting_probabilities(fig3_game)
     ok = (
         pseudos == [[8]]
-        and orders.order[8] == 1
-        and orders.max_order == 1
+        and orders[8] == 1
+        and orders.max() == 1
         and abs(hit.probabilities[8, 0] - 1.0) <= 1e-9
         and hit.rounds == 1
     )

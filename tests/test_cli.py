@@ -469,6 +469,15 @@ def test_simulate_forces_simulation_for_pure_prior(tmp_path, capsys, fig3_game):
     assert payload["distribution"]["sink_0"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_limit_payload_names_the_command_that_ran(tmp_path, capsys, fig2_game, command):
+    gpath = write_game(tmp_path, fig2_game)
+    code, out, _ = run_cli(capsys, command, gpath, "uniform", "--seed", "1",
+                           "--runs-per-sample", "2", "--max-samples", "1", "--max-steps", "200")
+    assert code == 0
+    assert json.loads(out)["command"] == command
+
+
 def test_limit_uniform_deterministic_bytes(tmp_path, capsys, matching_pennies):
     gpath = write_game(tmp_path, matching_pennies)
     args = ("limit", gpath, "uniform", "--seed", "9", "--runs-per-sample", "6",

@@ -930,6 +930,22 @@ def test_prior_parsing():
         Prior.pure([0.5, 0.2])
 
 
+def test_pure_prior_keeps_read_only_weights(fig2_game):
+    w = np.array([3, 0, 1, 0, 2, 0, 0, 1, 3], dtype=float) / 10
+    prior = Prior.pure(w)
+    assert prior.weights.dtype == np.float64 and not prior.weights.flags.writeable
+    w[0] = 0.0  # the prior holds its own copy
+    assert prior.weights[0] == 0.3
+    with pytest.raises(ValueError):
+        prior.weights[0] = 1.0
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        want = vertex_profile(fig2_game, int(ref.choice(9, p=prior.weights / prior.weights.sum())),
+                              sinklimit.dynamics._VERTEX_SMOOTHING)
+        for got, expected in zip(prior.sample(fig2_game, rng), want):
+            assert np.array_equal(got, expected)
+
+
 def test_prior_samples_match_game_shape(fig2_game):
     rng = np.random.default_rng(0)
     x = Prior.parse("uniform").sample(fig2_game, rng)

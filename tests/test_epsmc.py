@@ -123,7 +123,7 @@ def test_from_cmc_fig2_counts(fig2_game):
     assert chain.live_nodes().tolist() == [0, 2, 5, 6, 7, 8]
     for member in (1, 3, 4):
         assert chain.origin[member] == 0
-    assert node_orders(chain).order[[1, 3, 4]].tolist() == [-1, -1, -1]  # dead nodes
+    assert node_orders(chain)[[1, 3, 4]].tolist() == [-1, -1, -1]  # dead nodes
 
 
 def test_from_cmc_fig3_is_identity_on_nodes(fig3_game):
@@ -160,6 +160,12 @@ def test_from_cmc_rejects_unclosed_sink(fig3_game):
     cmc = build_cmc(fig3_game)
     with pytest.raises(ContractViolation, match="leaves"):
         from_cmc(cmc, [[1]])
+    # (3,3) has no regular out-edge; only its tie with (3,1) leaves it.
+    assert row(cmc.reg, 8) == {} and row(cmc.eps, 8) == {2: 1.0}
+    with pytest.raises(ContractViolation, match=r"a eps edge leaves supposed sink \[8\]"):
+        from_cmc(cmc, [[0], [8]])
+    with pytest.raises(ContractViolation, match=r"a regular edge leaves supposed sink \[1\]"):
+        from_cmc(cmc, [[1], [8]])  # the regular check runs first
 
 
 # -- rSCC partition --------------------------------------------------------------
@@ -212,28 +218,28 @@ def test_rsccs_match_brute_force_definition():
 
 def test_orders_fig3(fig3_game):
     orders = node_orders(collapsed_chain(fig3_game))
-    assert orders.max_order == 1
-    assert orders.order[8] == 1
-    assert all(orders.order[v] == 0 for v in range(8))
+    assert orders.max() == 1
+    assert orders[8] == 1
+    assert all(orders[v] == 0 for v in range(8))
 
 
 def test_orders_absorbing_is_zero():
     chain = EpsilonMC.from_edges(1, absorbing=[0])
-    assert node_orders(chain).order[0] == 0
+    assert node_orders(chain)[0] == 0
 
 
 def test_orders_count_eps_hops():
     chain = EpsilonMC.from_edges(3, eps=[(0, 1, 1.0), (1, 2, 1.0)], absorbing=[2])
     orders = node_orders(chain)
-    assert orders.order.tolist() == [2, 1, 0]
-    assert orders.max_order == 2
+    assert orders.tolist() == [2, 1, 0]
+    assert orders.max() == 2
 
 
 def test_orders_prefer_regular_bypass():
     chain = EpsilonMC.from_edges(
         3, regular=[(0, 2, 1.0)], eps=[(0, 1, 1.0), (1, 2, 1.0)], absorbing=[2]
     )
-    assert node_orders(chain).order.tolist() == [0, 1, 0]
+    assert node_orders(chain).tolist() == [0, 1, 0]
 
 
 def test_orders_unreachable_node_raises():
@@ -312,9 +318,9 @@ def test_collapse_rejects_non_pseudosink(fig3_game):
 def test_collapse_rejects_bad_stationary_vector():
     chain = two_node_pseudosink_chain()
     with pytest.raises(ContractViolation, match="normalized"):
-        epsmc._exit_rows(chain, [[0, 1]], [np.array([0.9, 0.3])])
+        epsmc._collapse(chain, [[0, 1]], [np.array([0.9, 0.3])])
     with pytest.raises(ContractViolation, match="match"):
-        epsmc._exit_rows(chain, [[0, 1]], [np.array([1.0])])
+        epsmc._collapse(chain, [[0, 1]], [np.array([1.0])])
 
 
 def test_batch_collapse_matches_one_at_a_time():
@@ -352,6 +358,13 @@ def exit_rows_chain():
     )
 
 
+def collapsed_copy(chain, groups, pis):
+    """`_collapse` of `groups` on a copy of `chain`, which is left as it is."""
+    copy = EpsilonMC(chain.reg, chain.eps, chain.absorbing, chain.origin)
+    epsmc._collapse(copy, groups, pis)
+    return copy
+
+
 @pytest.mark.parametrize(
     "second, pi, match",
     [
@@ -365,25 +378,26 @@ def exit_rows_chain():
 )
 def test_exit_rows_check_every_group(second, pi, match):
     chain = exit_rows_chain()
-    epsmc._exit_rows(chain, [[0]], [np.ones(1)])  # the first group alone is fine
+    collapsed_copy(chain, [[0]], [np.ones(1)])  # the first group alone is fine
     with pytest.raises(ContractViolation, match=match):
-        epsmc._exit_rows(chain, [[0], second], [np.ones(1), np.array(pi)])
+        collapsed_copy(chain, [[0], second], [np.ones(1), np.array(pi)])
 
 
 def test_exit_rows_match_one_group_at_a_time():
+    # No group exits into two members of another, so each representative's
+    # collapsed row is its exit row, target for target and bit for bit.
     cases = [(exit_rows_chain(), [[0], [2, 1]], [np.ones(1), np.array([0.5, 0.5])])]
     for seed in (43, 51, 55):
         chain = collapsed_chain(random_game(seed, 4, (3,) * 4, mode="integer", int_max=2))
         pseudos = rsccs(chain)
         cases.append((chain, pseudos, [np.ones(1)] * len(pseudos)))
     for chain, groups, pis in cases:
-        batch = epsmc._exit_rows(chain, groups, pis)
-        single = [epsmc._exit_rows(chain, [g], [pi]) for g, pi in zip(groups, pis)]
-        for got, want in zip(batch, zip(*single)):
-            assert np.array_equal(got, np.concatenate(want))
-    rep, target, weight = epsmc._exit_rows(*cases[0])
-    assert rep.tolist() == [0, 0, 1, 1] and target.tolist() == [1, 4, 3, 4]
-    assert weight.tolist() == pytest.approx([0.5, 0.5, 0.75, 0.25], abs=1e-15)
+        batch = collapsed_copy(chain, groups, pis)
+        for g, pi in zip(groups, pis):
+            assert row(batch.reg, min(g)) == row(collapsed_copy(chain, [g], [pi]).reg, min(g))
+    batch = collapsed_copy(*cases[0])
+    assert row(batch.reg, 0) == pytest.approx({1: 0.5, 4: 0.5}, abs=1e-15)
+    assert row(batch.reg, 1) == pytest.approx({3: 0.75, 4: 0.25}, abs=1e-15)
 
 
 # -- epsilon deletion --------------------------------------------------------------
