@@ -3,20 +3,24 @@
 A mixed strategy profile is a tuple of per-player probability vectors.  The
 dynamics adds a best-response drift and projected Gaussian noise to each
 player's vector and projects back onto the simplex of the current support,
-so supports never grow.  Trajectories are classified to a sink once the
-nearest pure profile stays inside that sink for a window of consecutive
-steps and the state passes close to a vertex at least once in the window.
+so supports never grow.  Trajectories are classified to a sink by two
+rules.  The window rule: the nearest pure profile stays inside that sink
+for a window of consecutive steps and the state passes close to a vertex at
+least once in the window.  The face rule: every profile in the run's face,
+the product of its supports, has one sink id (or lies in no sink, id -1);
+the nearest profile never leaves the face, so the run's sink is fixed.
 
 The estimator steps every run of a checkpoint block (`_CHECKPOINT_EVERY`
 samples times runs per sample) as one batch.  Noise is drawn one block of
 steps at a time; within a noise block each step only advances the batch
 and keeps its state, and one pass over the block's states then classifies
-every run.  What is the same for every step of a noise block is made once
-per block: the noise, scaled by delta, and `_BlockConstants`; a step
-computes only what depends on the batch's state.  Expected utilities and
-best responses have one kernel, `_best_responses`, which the step and
+every run by the window rule; the face rule is checked once, at the
+block's last step.  What is the same for every step of a noise block is
+made once per block: the noise, scaled by delta, and `_BlockConstants`; a
+step computes only what depends on the batch's state.  Expected utilities
+and best responses have one kernel, `_best_responses`, which the step and
 `best_response_vector` (on a one-run batch) both call.  A run leaves the
-batch at the end of the noise block in which it is classified or frozen.
+batch at the end of the noise block in which either rule settles it.
 The batch is one zero-padded array of shape (players, runs, widest
 strategy count), so each step and each classification makes one numpy
 call per operation for all players, not one per player; a pad slot is
@@ -27,12 +31,13 @@ bit-identical for a given root seed.
 
 The dynamics has two parameters, `eta` and `delta`.  Six module constants
 fix the estimator's own rules:
-- `_NOISE_BLOCK`: steps drawn and classified at once; no result depends on it.
+- `_NOISE_BLOCK`: steps drawn and classified at once, and the face rule's
+  period; no result depends on it.
 - `_CHECKPOINT_EVERY`: prior samples batched between stopping-rule checks.
 - `_VERTEX_TOLERANCE`: how near a vertex counts as close for classification.
 - `_WINDOW`: in-sink steps that classify a run, so passing through a sink does not.
 - `_EXTINCTION_FLOOR`: probabilities below it go extinct, so supports can shrink.
-- `_VERTEX_SMOOTHING`: mass spread at a pure prior's start; an exact vertex is frozen.
+- `_VERTEX_SMOOTHING`: mass spread at a pure prior's start; an exact vertex never moves.
 """
 
 import functools
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epsmc import limit_hitting_probabilities
-from .errors import ContractViolation
+from .errors import ContractViolation, SolverConvergenceError
 from .game import Game, decode_profile, sink_equilibria
 from .scc import group_ids
 
@@ -259,14 +264,19 @@ def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float, ranks: np.ndarr
 def project_to_simplex(v, support=None, floor: float = 0.0) -> np.ndarray:
     """Euclidean projection of `v` onto the probability simplex over
     `support` (indices or boolean mask; default all coordinates), with
-    entries below `floor` extinguished as described in `_project_rows`."""
+    entries below `floor` extinguished as described in `_project_rows`.
+    Raises `SolverConvergenceError` where float64 rounding cancels every
+    coordinate, as for `[1e16, 0.0]`."""
     v = np.asarray(v, dtype=float)
     k = v.shape[0]
     mask = np.zeros(k, dtype=bool)
     mask[slice(None) if support is None else np.asarray(support)] = True
     if not mask.any():
         raise ValueError("support must be nonempty")
-    return _project_rows(v[None, :], mask[None, :], floor, np.arange(1, k + 1), np.arange(1))[0]
+    x = _project_rows(v[None, :], mask[None, :], floor, np.arange(1, k + 1), np.arange(1))[0]
+    if not (x > 0).any():
+        raise SolverConvergenceError("projection lost every coordinate to rounding")
+    return x
 
 
 def _noise_slots(game: Game) -> np.ndarray:
@@ -365,28 +375,39 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
 
     Gaussian noise is drawn for every coordinate in player order and ignored
     off-support (equivalent to drawing on the support only), which keeps the
-    stream consumption identical to the batched simulation engine.
+    stream consumption identical to the batched simulation engine.  A step
+    that empties a support raises, as in `_check_supports`.
     """
     check_mixed_profile(game, x)
     noise = rng.standard_normal(sum(game.strategy_counts))[_noise_slots(game)][:, None, :]
     X = _step_batch(game, _pad(game, x, 1), params, params.delta * noise,
                     _BlockConstants(game, 1))
+    _check_supports(X)
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
 
+def _check_supports(X) -> None:
+    """Raise `SolverConvergenceError` if some player's row of the padded
+    batch `X` has no positive coordinate: float64 rounding cancelled a whole
+    projection, which no later step undoes."""
+    empty = ~(X > 0).any(axis=2)
+    if empty.any():
+        raise SolverConvergenceError(
+            f"eta/delta: a replicator step left player {int(np.argwhere(empty)[0, 0])} "
+            "with no positive coordinate; the step is too large for float64"
+        )
+
+
 def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, done: int, streak):
-    """Classify the runs of one noise block in one pass.
+    """Classify the runs of one noise block by the window rule in one pass.
 
     `H[t]` is the padded batch after step `done + t + 1`; it is overwritten.
     `streak` holds each run's streak before the block: its sink, the step it
     began at and the last step that came close to a vertex (0 before any).
-    Returns which runs settled in the block, the sink of each at the first
-    step it settled, and every run's streak after the block.
+    Returns which runs settled in the block; the sink of each run, at the
+    first step it settled or else at the block's last step; and every run's
+    streak after the block.
     """
-    # Every support keeps at least one strategy, so p supported strategies
-    # in all means every support is a singleton: the run can never move
-    # again, and it settles at once wherever it is.
-    frozen = (H > 0).sum(axis=(1, 3)) == H.shape[1]
     arg = H.argmax(axis=3)
     s = sink_of[strides @ arg]
     np.subtract(H, arg[..., None] == np.arange(H.shape[3]), out=H)
@@ -397,9 +418,27 @@ def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, done: int, streak
     t = np.arange(done + 1, done + len(H) + 1)[:, None]
     start = np.maximum.accumulate(np.where(s != np.vstack([sink, s[:-1]]), t, start))
     last = np.maximum.accumulate(np.where(close, t, last))
-    settled = ((s >= 0) & (t - start >= _WINDOW - 1) & (last >= start)) | frozen
+    settled = (s >= 0) & (t - start >= _WINDOW - 1) & (last >= start)
     hit = settled.any(axis=0)
-    return hit, s[settled.argmax(axis=0)[hit], hit], (s[-1], start[-1], last[-1])
+    first = np.where(hit, settled.argmax(axis=0), len(H) - 1)
+    return hit, s[first, np.arange(s.shape[1])], (s[-1], start[-1], last[-1])
+
+
+def _one_sink_faces(X, s: np.ndarray, sink_of: np.ndarray, counts) -> np.ndarray:
+    """The face rule: which runs of the padded batch `X` lie in a face (the
+    product of their supports) whose every profile has the run's id `s`, its
+    nearest profile's sink or -1.  Supports never grow and the nearest
+    profile always lies in the face, so such a run's sink can no longer
+    change.  One `(runs, profiles)` boolean array holds the profiles of
+    another id, cut down player by player to each run's face.  An empty
+    support would make an empty face pass, so `_check_supports` comes first.
+    """
+    _check_supports(X)
+    runs, p = X.shape[1], len(counts)
+    other = (sink_of != s[:, None]).reshape((runs,) + tuple(counts[::-1]))
+    for i, c in enumerate(counts):
+        other &= (X[i, :, :c] > 0).reshape((runs,) + (1,) * (p - 1 - i) + (c,) + (1,) * i)
+    return ~other.reshape(runs, -1).any(axis=1)
 
 
 def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParams,
@@ -408,11 +447,13 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
 
     `x0[i]` is player i's start: one vector shared by every run, or one row
     per run.  Each noise block steps every live run and keeps its states,
-    then `_settle_block` classifies them in one pass; the runs that settled
-    (classified or frozen) leave the batch at the end of the block.  A run
-    stepped past its settling step draws only from its own stream, so no
-    result changes.  Returns the sink index per run, -1 when not classified
-    within `params.max_steps`.
+    then `_settle_block` classifies them by the window rule in one pass, and
+    the face rule (`_one_sink_faces`) settles each other run whose face at
+    the block's last step holds one sink id, -1 included; the runs that
+    settled leave the batch at the end of the block.  A run stepped past its
+    settling step draws only from its own stream, so no result changes.
+    Returns the sink index per run, -1 when not classified within
+    `params.max_steps` or settled in a face without sink profiles.
     """
     runs = len(rngs)
     X = _pad(game, x0, runs)
@@ -440,9 +481,10 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
             X = _step_batch(game, X, params, block[t], consts)
             H[t] = X
         del block
-        hit, sinks, streak = _settle_block(H, sink_of, strides, done, streak)
+        hit, sink, streak = _settle_block(H, sink_of, strides, done, streak)
         del H
-        result[live[hit]] = sinks
+        hit |= _one_sink_faces(X, sink, sink_of, game.strategy_counts)
+        result[live[hit]] = sink[hit]
         keep = ~hit
         live, X = live[keep], X[:, keep]
         streak = tuple(a[keep] for a in streak)
@@ -451,8 +493,10 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
 
 
 def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
-    """Classify one trajectory started at `x0`; returns the sink index or
-    None when the run exhausts `max_steps` unclassified."""
+    """Classify one trajectory started at `x0` by the window and face rules;
+    returns the sink index, or None when the run exhausts `max_steps`
+    unclassified or the face rule settles it in a face without sink
+    profiles."""
     check_mixed_profile(game, x0)
     res = _simulate_batch(game, x0, group_ids(game.num_profiles, sinks), params, [rng])
     return int(res[0]) if res[0] >= 0 else None
@@ -467,11 +511,14 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     noisy-replicator instances per draw, and accumulates the running average
     of the per-run outcomes.  The runs of each block of `_CHECKPOINT_EVERY`
     samples (a module constant, 8) are stepped as one batch, which a run
-    leaves at the end of the noise block in which it is classified or
-    frozen; each block ends at a checkpoint.  Stops when the total-variation
-    distance between the running averages at successive checkpoints drops
-    below `tv_tol` once some run has classified, or at the `max_samples`
-    budget.  The sinks are those of the response graph at `tie_tolerance`.
+    leaves at the end of the noise block in which the window rule or the
+    face rule settles it; each block ends at a checkpoint.  Stops when the
+    total-variation distance between the running averages at successive
+    checkpoints drops below `tv_tol` once some run has classified, or at the
+    `max_samples` budget.  A run counts as non-converged when it ends unclassified or the
+    face rule settles it where no sink profile is left.  A step so large
+    that a support empties raises `SolverConvergenceError`.  The sinks are
+    those of the response graph at `tie_tolerance`.
     Deterministic given `params.rng_seed`, and the same as stepping each
     sample's runs on their own.
     """

@@ -378,6 +378,19 @@ def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
         assert err.startswith("INPUT_ERROR: runs-per-sample: ")
 
 
+def test_step_too_large_for_float64_exits_three(tmp_path, capsys, fig2_game):
+    # eta = 1e200 cancels every projection to all zeros: numpy warns of the
+    # division by zero, and the empty supports then fail the run by name.
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(
+            capsys, "limit", write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
+            "--eta", "1e200", "--max-samples", "2", "--runs-per-sample", "4",
+        )
+    assert (code, out) == (3, "")
+    assert err.startswith("NUMERIC_ERROR: eta/delta: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["limit", "simulate"])
 def test_runs_per_sample_beyond_memory_exits_two(tmp_path, capsys, fig2_game, command):
     # Within numpy's index range, but the start arrays of one block need

@@ -9,6 +9,7 @@ from sinklimit import (
     Game,
     Prior,
     ReplicatorParams,
+    SolverConvergenceError,
     best_response_vector,
     decode_profile,
     estimate_limit_distribution,
@@ -70,7 +71,9 @@ def reference_simulate(game, x0, sinks, params, rng):
             streak_sink, streak_len, streak_close = -2, 0, False
         if streak_len >= sinklimit.dynamics._WINDOW and streak_close:
             return s
-        if all(int(np.sum(xi > 0)) == 1 for xi in x):
+        # The face rule: every profile in the product of the supports has id s.
+        face = itertools.product(*(np.flatnonzero(xi) for xi in x))
+        if all(lookup[sum(a * st for a, st in zip(v, game.strides))] == s for v in face):
             return s if s >= 0 else None
     return None
 
@@ -188,6 +191,17 @@ def test_projection_all_extinguished_falls_back_to_pure():
 def test_projection_empty_support_rejected():
     with pytest.raises(ValueError):
         project_to_simplex(np.array([1.0, 0.0]), support=np.zeros(2, dtype=bool))
+
+
+def test_projection_cancelled_by_rounding_raises(fig2_game):
+    # 1 - 1e16 rounds to -1e16, so no coordinate keeps positive mass.
+    np.testing.assert_array_equal(project_to_simplex(np.array([1e15, 0.0])), [1.0, 0.0])
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverConvergenceError, match="rounding"):
+        project_to_simplex(np.array([1e16, 0.0]))
+    # So does a replicator step of eta = 1e200.
+    x = tuple(np.full(3, 1 / 3) for _ in range(2))
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverConvergenceError, match="eta/delta"):
+        noisy_replicator_step(fig2_game, x, ReplicatorParams(eta=1e200), np.random.default_rng(0))
 
 
 # -- replicator step -------------------------------------------------------------
@@ -319,8 +333,29 @@ def reference_step_batch(game, X, params, noise_row):
     return out
 
 
-def reference_simulate_batch(game, x0, sink_of, params, rngs):
-    """`_simulate_batch` over per-player arrays, classifying one player at a time."""
+def face_settles(game, X, s, sink_of):
+    """The face rule at one step: each run whose every profile in the
+    product of its supports has the run's sink id `s` (-1 included), with
+    the face gathered through each profile's strategy digits."""
+    digits = np.array([decode_profile(v, game) for v in range(game.num_profiles)]).T
+    face = np.ones((len(s), game.num_profiles), dtype=bool)
+    for i, xi in enumerate(X):
+        face &= xi[:, digits[i]] > 0
+    return (~face | (sink_of == s[:, None])).all(axis=1)
+
+
+def frozen_settles(game, X, s, sink_of):
+    """The rule the face rule replaced: a run settles once every support is
+    a singleton, which is the face rule on one-profile faces only."""
+    return np.all([(xi > 0).sum(axis=1) == 1 for xi in X], axis=0)
+
+
+def reference_simulate_batch(game, x0, sink_of, params, rngs, settles=face_settles,
+                             unsettled=None):
+    """`_simulate_batch` over per-player arrays, classifying one player at a
+    time and checking `settles` (the face rule by default) at every step.
+    A dict passed as `unsettled` receives each run still live at the budget,
+    mapped to its last per-player state."""
     runs = len(rngs)
     X = [np.array(np.broadcast_to(np.asarray(x0[i], dtype=float), (runs, s)))
          for i, s in enumerate(game.strategy_counts)]
@@ -343,21 +378,20 @@ def reference_simulate_batch(game, x0, sink_of, params, rngs):
         m = live.size
         nearest = np.zeros(m, dtype=int)
         dist = np.zeros(m)
-        frozen = np.ones(m, dtype=bool)
         for i in range(game.num_players):
             arg = np.argmax(X[i], axis=1)
             nearest += arg * game.strides[i]
             tmp = X[i].copy()
             tmp[np.arange(m), arg] -= 1.0
             dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
-            frozen &= (X[i] > 0).sum(axis=1) == 1
         s = sink_of[nearest]
         in_sink = s >= 0
         same = in_sink & (s == streak_sink)
         streak_len = np.where(same, streak_len + 1, in_sink)
         streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
         streak_sink = s
-        settled = ((streak_len >= sinklimit.dynamics._WINDOW) & streak_close) | frozen
+        settled = (((streak_len >= sinklimit.dynamics._WINDOW) & streak_close)
+                   | settles(game, X, s, sink_of))
         result[live[settled]] = s[settled]
         keep = ~settled
         if not keep.all():
@@ -366,6 +400,8 @@ def reference_simulate_batch(game, x0, sink_of, params, rngs):
             streak_sink, streak_len, streak_close = (
                 streak_sink[keep], streak_len[keep], streak_close[keep])
             block = block[keep]
+    if unsettled is not None:
+        unsettled.update({int(r): [xi[j] for xi in X] for j, r in enumerate(live)})
     return result
 
 
@@ -470,10 +506,12 @@ def test_padded_simulation_matches_per_player_reference(counts, seed, floor, mon
 def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatch):
     """Four runs near the strict equilibrium settle in the first noise
     block; the fifth steps on alone, through a budget that ends inside its
-    second block and then for eight blocks until it settles in the 4-cycle."""
+    second block and then through its third, in which the window rule
+    settles it in the 4-cycle at step 133, while its face still holds a
+    third strategy (it closes at step 140)."""
     lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
     near = np.array([0.025, 0.025, 0.95])
-    x0 = [np.vstack([np.tile(near, (4, 1)), np.random.default_rng(5).dirichlet(np.ones(3))])
+    x0 = [np.vstack([np.tile(near, (4, 1)), np.random.default_rng(31).dirichlet(np.ones(3))])
           for _ in range(2)]
 
     def rngs():
@@ -489,7 +527,7 @@ def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatc
         want = reference_simulate_batch(fig2_game, x0, lookup, params, rngs())
         np.testing.assert_array_equal(got, want)
     assert got.tolist() == [1, 1, 1, 1, 0]
-    assert rows == [5] * 64 + [1] * 36 + [5] * 64 + [1] * 512
+    assert rows == [5] * 64 + [1] * 36 + [5] * 64 + [1] * 128
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -499,12 +537,14 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
     than a block (streaks carried from block to block) and frozen starts."""
     monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", block)
     game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
-    # A start close to a vertex of fig2's 4-cycle sink stays in the cycle, so
-    # its window completes at step `window`; vertex 5 of `game` is frozen
-    # outside its sinks.
+    # The fig2 start's nearest profile is the strict equilibrium (3,3) from
+    # the first step; it first comes close at step 54 and its face closes
+    # at step 64, so a 20-step window classifies it by step 60 and a
+    # 100-step one leaves it to the face rule.  Vertex 5 of `game` is
+    # frozen outside its sinks.
     cases = [(game, mixed_starts(game, np.random.default_rng(5), 12), vertex_profile(game, 5)),
              (fig2_game, mixed_starts(fig2_game, np.random.default_rng(5), 12),
-              tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2)))]
+              (np.array([0.12, 0.08, 0.8]), np.array([0.11, 0.25, 0.64])))]
 
     def rngs():
         return [np.random.default_rng(np.random.SeedSequence([3, r])) for r in range(13)]
@@ -525,20 +565,22 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
             if g is game:
                 assert outcomes[2][-1] == -1
             else:
-                assert [o[-1] for o in outcomes] == [0 if window < 60 else -1, 0, 0]
+                assert [o[-1] for o in outcomes] == [1 if window < 60 else -1, 1, 1]
 
 
 @pytest.mark.parametrize("window", [1, 20, 64, 65, 130])
 def test_window_completing_at_the_budget_classifies(fig2_game, monkeypatch, window):
     # The start is close to the vertex (1,1) of the 4-cycle sink and its
     # nearest profile never leaves the cycle, so its window completes at
-    # step `window`.
+    # step `window`.  With eta and delta at 1e-4 its third strategies stay
+    # supported past step 130, so its face keeps the strict equilibrium
+    # (3,3) and only the window rule can classify it.
     sinks = sink_equilibria(fig2_game)
     x0 = tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2))
     monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
 
     def outcome(max_steps):
-        params = ReplicatorParams(max_steps=max_steps)
+        params = ReplicatorParams(eta=1e-4, delta=1e-4, max_steps=max_steps)
         return simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(1))
 
     assert (outcome(window - 1), outcome(window)) == (None, 0)
@@ -563,6 +605,68 @@ def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, 
     assert simulate_to_sink(fig2_game, cycle, sinks, params, np.random.default_rng(0)) == want
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3), (4, 4)])
+def test_face_rule_keeps_every_outcome_of_the_frozen_rule(shape):
+    """Against the per-step window and frozen rules it replaced, the face
+    rule at block ends changes no sink a run is classified to; a run the
+    old rule leaves unclassified stays so, or ends in a face whose every
+    profile has the sink the face rule gave it.  The short budget ends
+    inside a block, with many runs still live."""
+    outcomes = np.zeros(2, dtype=int)  # runs the old rule classified, and left at -1
+    for seed in range(10):
+        game = random_game(seed, len(shape), shape)
+        lookup = group_ids(game.num_profiles, sink_equilibria(game))
+        x0 = mixed_starts(game, np.random.default_rng(seed), 12)
+
+        def rngs():
+            return [np.random.default_rng(np.random.SeedSequence([seed, r])) for r in range(12)]
+
+        for max_steps in (130, 1000):
+            params = ReplicatorParams(max_steps=max_steps)
+            new = _simulate_batch(game, x0, lookup, params, rngs())
+            unsettled = {}
+            old = reference_simulate_batch(game, x0, lookup, params, rngs(),
+                                           settles=frozen_settles, unsettled=unsettled)
+            np.testing.assert_array_equal(new[old >= 0], old[old >= 0])
+            for r in np.flatnonzero((old == -1) & (new != -1)):
+                X = [xi[None, :] for xi in unsettled[r]]
+                assert face_settles(game, X, new[r:r + 1], lookup)[0]
+            outcomes += np.count_nonzero(old >= 0), np.count_nonzero(old == -1)
+    assert np.all(outcomes > 0)
+
+
+def test_run_on_a_one_sink_face_settles_at_the_first_block_end(fig2_game, monkeypatch):
+    # Started on the face {1,2}x{1,2}, which is the 4-cycle sink, the run
+    # can never leave it; with the window rule out of reach, the face rule
+    # settles it when the first noise block ends.
+    rows = []
+    step = sinklimit.dynamics._step_batch
+    monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
+                        lambda game, X, *rest: rows.append(len(X[0])) or step(game, X, *rest))
+    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", 10**6)
+    x0 = (np.array([0.6, 0.4, 0.0]), np.array([0.3, 0.7, 0.0]))
+    sinks = sink_equilibria(fig2_game)
+    params = ReplicatorParams()
+    assert simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(0)) == 0
+    assert rows == [1] * sinklimit.dynamics._NOISE_BLOCK
+
+
+def test_run_on_a_face_without_sink_profiles_settles_unclassified(fig2_game, monkeypatch):
+    # Column 3 against rows 1 and 2: the profiles (1,3) and (2,3) lie in no
+    # sink, and the run, not yet at a vertex, settles as -1 when the first
+    # noise block ends.
+    rows = []
+    step = sinklimit.dynamics._step_batch
+    monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
+                        lambda game, X, *rest: rows.append(step(game, X, *rest)) or rows[-1])
+    x0 = (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
+    lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
+    got = _simulate_batch(fig2_game, x0, lookup, ReplicatorParams(), [np.random.default_rng(0)])
+    assert got.tolist() == [-1]
+    assert len(rows) == sinklimit.dynamics._NOISE_BLOCK
+    assert np.count_nonzero(rows[-1][0, 0] > 0) == 2  # the row player is still mixed
+
+
 # -- trajectory classification ------------------------------------------------------
 
 
@@ -577,6 +681,10 @@ def test_vertex_inside_sink_classifies_immediately(fig2_game):
         fig2_game, vertex_profile(fig2_game, 8), sinks, params, np.random.default_rng(3)
     )
     assert out == 1
+    out = simulate_to_sink(  # (1,3) lies in no sink: frozen there, the run stays unclassified
+        fig2_game, vertex_profile(fig2_game, 6), sinks, params, np.random.default_rng(3)
+    )
+    assert out is None
 
 
 def test_zero_step_budget_never_classifies(fig2_game):
@@ -586,6 +694,9 @@ def test_zero_step_budget_never_classifies(fig2_game):
         fig2_game, vertex_profile(fig2_game, 0), sinks, params, np.random.default_rng(0)
     )
     assert out is None
+    # Nor does the face rule look at a one-sink face with no step taken.
+    x0 = (np.array([0.6, 0.4, 0.0]), np.array([0.3, 0.7, 0.0]))
+    assert simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(0)) is None
 
 
 def test_near_strict_equilibrium_attraction(fig2_game):
@@ -604,31 +715,36 @@ def test_batch_width_does_not_change_runs(fig2_game):
     # moving, so a run's outcome cannot depend on which others share its batch.
     sinks = sink_equilibria(fig2_game)
     lookup = group_ids(fig2_game.num_profiles, sinks)
-    x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
-    params = ReplicatorParams(max_steps=2000)
+    x0 = mixed_starts(fig2_game, np.random.default_rng(1), 10)
+    params = ReplicatorParams(max_steps=200)
 
     def runs(width):
         rngs = [np.random.default_rng(np.random.SeedSequence([5, r])) for r in range(width)]
-        return _simulate_batch(fig2_game, x0, lookup, params, rngs)
+        return _simulate_batch(fig2_game, [x[:width] for x in x0], lookup, params, rngs)
 
     wide = runs(10)
-    assert wide[0] == 0 and wide[1] == -1  # one run stops early, one never does
-    np.testing.assert_array_equal(runs(4), wide[:4])
+    # Run 4's window completes at step 53, in the first block; run 3's face
+    # still holds a third strategy at the budget, so it never settles.
+    assert wide[4] == 0 and wide[3] == -1
+    np.testing.assert_array_equal(runs(5), wide[:5])
 
 
 def test_noise_block_length_does_not_change_runs(fig2_game, monkeypatch):
     # Each run refills its block rows from its own stream, so the block length
     # only decides when the draws happen, not what they are.
+    # Five of the runs settle by the window rule, at steps 59 to 153, so
+    # 7-step blocks carry their streaks; the budget ends inside a block of
+    # each length with one run unsettled.
     lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
-    x0 = tuple(np.full(3, 1 / 3) for _ in range(2))
-    params = ReplicatorParams(max_steps=2000)
+    x0 = mixed_starts(fig2_game, np.random.default_rng(3), 10)
+    params = ReplicatorParams(max_steps=200)
 
     def runs():
         rngs = [np.random.default_rng(np.random.SeedSequence([8, r])) for r in range(10)]
         return _simulate_batch(fig2_game, x0, lookup, params, rngs)
 
     default = runs()
-    assert len(set(default.tolist())) > 1
+    assert set(default.tolist()) == {-1, 0, 1}
     for length in (7, 256):
         monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", length)
         np.testing.assert_array_equal(runs(), default)
