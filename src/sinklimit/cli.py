@@ -29,7 +29,7 @@ from .game import (
     decode_profile,
     game_to_json,
     load_game,
-    profile_label,
+    profile_labels,
     random_game,
     sink_equilibria,
 )
@@ -137,8 +137,7 @@ def cmd_hit(args) -> int:
         "rounds": hit.rounds,
         "order_trace": hit.order_trace,
     }
-    profiles = [profile_label(pid, game) for pid in range(game.num_profiles)]
-    _emit_json(args, payload, rows=(profiles, labels, hit.probabilities))
+    _emit_json(args, payload, rows=(profile_labels(game), labels, hit.probabilities))
     return 0
 
 

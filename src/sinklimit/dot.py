@@ -9,7 +9,7 @@ epsilon edges of the profile chain, appear as a bidirectional pair labeled
 """
 
 from .epsmc import limit_hitting_from_cmc
-from .game import Game, build_cmc, profile_label, sink_equilibria
+from .game import Game, build_cmc, profile_labels, sink_equilibria
 from .scc import group_ids
 
 # Fixed 12-color palette, cycled by sink index so re-runs color identically.
@@ -29,7 +29,7 @@ def export_dot(game: Game, tie_tolerance: float = 0.0) -> str:
     hitting = limit_hitting_from_cmc(chain, sink_equilibria(game, tie_tolerance))
     n = game.num_profiles
     sink_of = group_ids(n, hitting.sinks).tolist()
-    names = [profile_label(pid, game) for pid in range(n)]
+    names = profile_labels(game)
 
     lines = ["digraph game {", "  node [shape=ellipse];"]
     for pid, name in enumerate(names):

@@ -228,7 +228,11 @@ def _simplex_rows(V: np.ndarray, mask: np.ndarray, ranks: np.ndarray,
     s = Vm[:, ::-1]
     r = 1.0 - np.where(np.isfinite(s), s, 0.0).cumsum(axis=1)
     rho = (s + r / ranks > 0).sum(axis=1)
-    lam = r[row_ids, rho - 1] / rho
+    # rho is 0 only where rounding cancelled a whole row (eta = 1e200, say):
+    # its shift is then -inf or NaN, the row keeps no positive coordinate,
+    # and `_check_supports` reports the failure.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = r[row_ids, rho - 1] / rho
     W = V + lam[:, None]
     return np.where(mask, np.maximum(W, 0.0, out=W), 0.0)
 

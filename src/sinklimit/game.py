@@ -130,6 +130,19 @@ def profile_label(profile_id: int, game: Game) -> str:
     return "(" + ",".join(str(a + 1) for a in decode_profile(profile_id, game)) + ")"
 
 
+def profile_labels(game: Game) -> list[str]:
+    """`profile_label` of every profile, in id order, in one mixed-radix pass.
+
+    Player 0's strategy varies fastest with the id, so the labels grow from
+    the last player's digit forwards, each player's digits innermost.
+    """
+    tails = [")"]
+    for s in reversed(game.strategy_counts):
+        digits = [str(a + 1) for a in range(s)]
+        tails = [f",{d}{tail}" for tail in tails for d in digits]
+    return ["(" + tail[1:] for tail in tails]
+
+
 @dataclass(frozen=True)
 class ResponseGraph:
     """All single-player weakly-improving deviations between pure profiles.
@@ -370,7 +383,10 @@ def game_from_json(obj) -> Game:
             raise GameFormatError(
                 f"utilities[{i}]: expected a flat list of {n} numbers"
             )
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in tensor):
+        # One check per distinct entry type: subclasses of int and float pass,
+        # bool (an int subclass) does not.
+        if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+                   for t in set(map(type, tensor))):
             raise GameFormatError(f"utilities[{i}]: entries must be numbers")
         try:
             tensors.append(np.array(tensor, dtype=float))

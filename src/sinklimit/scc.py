@@ -1,4 +1,5 @@
-"""Strongly connected components (Pearce's one-rank search) and sink detection.
+"""Strongly connected components (Pearce's one-rank search), their
+condensation levels and sink detection.
 
 Every function takes a square CSR matrix whose nonzero pattern is the edge
 set; node ids are the row indices.  Components come as lists of ascending
@@ -8,14 +9,16 @@ members, ordered by smallest member.
 import numpy as np
 
 
-def strongly_connected_components(matrix) -> list[list[int]]:
-    """Pearce's algorithm (IPL 2016), iterative so deep chains cannot
-    overflow the stack.
+def component_numbers(matrix) -> np.ndarray:
+    """Each node's component number, by Pearce's algorithm (IPL 2016),
+    iterative so deep chains cannot overflow the stack.
 
     One `rank` per node: -1 until visited, then its visit rank, lowered to the
     smallest rank it reaches among open nodes, and finally its component's
     number, counted down from n - 1.  Those numbers stay above the rank of
-    every open node, so strict `<` comparisons alone skip finished nodes.
+    every open node, so strict `<` comparisons alone skip finished nodes.  A
+    component closes after every component it reaches (Tarjan 1972), so an
+    edge between two components always goes to the higher number.
     """
     indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
     n = len(indptr) - 1
@@ -55,7 +58,32 @@ def strongly_connected_components(matrix) -> list[list[int]]:
                     if rank[v] < rank[parent]:
                         rank[parent] = rank[v]
 
-    ranks = np.array(rank, dtype=np.int64)
+    return np.array(rank, dtype=np.int64)
+
+
+def condensation_levels(matrix, numbers: np.ndarray) -> np.ndarray:
+    """Each node's level: the length of the longest path in the
+    condensation from its component to one that no edge leaves (level 0).
+
+    `numbers` are `component_numbers(matrix)`.  An edge between components
+    goes to the higher number, so one pass over those edges by descending
+    source number reaches each component after all of its successors.
+    """
+    coo = matrix.tocoo()
+    src, dst = numbers[coo.row], numbers[coo.col]
+    cross = src != dst
+    by_source = np.argsort(-src[cross], kind="stable")
+    level = [0] * matrix.shape[0]  # by component number
+    for s, d in zip(src[cross][by_source].tolist(), dst[cross][by_source].tolist()):
+        if level[d] >= level[s]:
+            level[s] = level[d] + 1
+    return np.array(level, dtype=np.int64)[numbers]
+
+
+def strongly_connected_components(matrix) -> list[list[int]]:
+    """Components of `matrix` by `component_numbers`."""
+    ranks = component_numbers(matrix)
+    n = ranks.size
     nodes = np.argsort(ranks, kind="stable")  # component by component, members ascending
     starts = np.flatnonzero(np.diff(ranks[nodes], prepend=-1))
     bounds, members = np.append(starts, n).tolist(), nodes.tolist()

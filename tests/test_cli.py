@@ -379,16 +379,30 @@ def test_bad_simulation_inputs_exit_two(tmp_path, capsys, fig2_game, bad):
 
 
 def test_step_too_large_for_float64_exits_three(tmp_path, capsys, fig2_game):
-    # eta = 1e200 cancels every projection to all zeros: numpy warns of the
-    # division by zero, and the empty supports then fail the run by name.
-    with pytest.warns(RuntimeWarning):
-        code, out, err = run_cli(
-            capsys, "limit", write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
-            "--eta", "1e200", "--max-samples", "2", "--runs-per-sample", "4",
-        )
+    # eta = 1e200 cancels every projection to all zeros, and the empty
+    # supports fail the run by name.  A numpy warning on the way would fail
+    # this test: the suite turns RuntimeWarning into an error.
+    code, out, err = run_cli(
+        capsys, "limit", write_game(tmp_path, fig2_game), "uniform", "--seed", "1",
+        "--eta", "1e200", "--max-samples", "2", "--runs-per-sample", "4",
+    )
     assert (code, out) == (3, "")
     assert err.startswith("NUMERIC_ERROR: eta/delta: ")
     assert err.count("\n") == 1
+
+
+def test_step_too_large_for_float64_writes_one_stderr_line(tmp_path, fig2_game):
+    # In a fresh interpreter numpy's warnings reach stderr as they would for
+    # a user, so this also sees a warning printed ahead of the diagnostic.
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinklimit", "limit", write_game(tmp_path, fig2_game),
+         "uniform", "--seed", "1", "--eta", "1e200", "--max-samples", "2",
+         "--runs-per-sample", "4"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("NUMERIC_ERROR: eta/delta: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["limit", "simulate"])
@@ -832,15 +846,49 @@ def test_numeric_failures_exit_three(tmp_path, capsys, fig3_game, monkeypatch):
     SystemError("gstrf was called with invalid arguments"),
     MemoryError("Unable to allocate 8.00 GiB for an array"),
 ])
-def test_lu_allocation_failure_exits_three(tmp_path, capsys, fig3_game, monkeypatch, error):
+def test_lu_allocation_failure_exits_three(tmp_path, capsys, monkeypatch, error):
+    # The transient profiles of this game form one block of 73, which
+    # SuperLU solves.
     def failing_splu(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(sinklimit.solver.sp.linalg, "splu", failing_splu)
-    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game))
+    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, random_game(0, 2, (9, 9))))
     assert (code, out) == (3, "")
-    assert err.startswith("NUMERIC_ERROR: sparse LU of ") and str(error) in err
+    assert err.startswith("NUMERIC_ERROR: sparse LU of 73 states") and str(error) in err
     assert err.count("\n") == 1
+
+
+def tie_game() -> Game:
+    """Two collapse rounds; its pseudosinks and final blocks are all small."""
+    return random_game(1238, 2, (3, 3), mode="integer", int_max=1)
+
+
+def test_dense_solve_allocation_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def out_of_memory(A, b):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(np.linalg, "solve", out_of_memory)
+    code, out, err = run_cli(capsys, "hit", write_game(tmp_path, tie_game()))
+    assert (code, out) == (3, "")
+    assert err.startswith("NUMERIC_ERROR: dense solve of ")
+    assert err.endswith("could not allocate its memory"
+                        " (MemoryError('Unable to allocate 8.00 GiB for an array'))\n")
+
+
+def test_hit_with_small_blocks_leaves_sparse_linalg_unloaded(tmp_path):
+    # Loading scipy.sparse.linalg costs tens of milliseconds and about 10 MB;
+    # a chain whose blocks are all solved dense never needs it.
+    game = write_game(tmp_path, tie_game())
+    code = (
+        "import sys\n"
+        "from sinklimit.cli import main\n"
+        f"code = main(['hit', {game!r}, '-o', {str(tmp_path / 'hit.json')!r}])\n"
+        "print(code, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0 False\n"
+    assert json.loads((tmp_path / "hit.json").read_text())["rounds"] == 2
 
 
 def test_state_reduction_allocation_failure_exits_three(tmp_path, capsys, fig3_game,

@@ -17,6 +17,7 @@ from sinklimit import (
     random_game,
     sink_equilibria,
 )
+from sinklimit.game import profile_labels
 from sinklimit.scc import sink_components, strongly_connected_components
 
 from conftest import bimatrix, full_graph, row
@@ -110,6 +111,35 @@ def test_profile_label_is_one_indexed():
     game = random_game(0, 2, (3, 3))
     assert profile_label(0, game) == "(1,1)"
     assert profile_label(8, game) == "(3,3)"
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (2, 2, 2), (12,), (1, 3, 1), (10, 2, 11), (2,) * 5])
+def test_profile_labels_match_profile_label(counts):
+    game = Game(counts, tuple(np.zeros(int(np.prod(counts))) for _ in counts))
+    labels = profile_labels(game)
+    assert labels == [profile_label(pid, game) for pid in range(game.num_profiles)]
+    assert len(set(labels)) == game.num_profiles
+
+
+class IntEntry(int):
+    pass
+
+
+class FloatEntry(float):
+    pass
+
+
+@pytest.mark.parametrize("entry", [3, 2.5, IntEntry(3), FloatEntry(2.5)])
+def test_game_from_json_accepts_numbers(entry):
+    game = game_from_json({"players": 1, "strategies": [2], "utilities": [[0, entry]]})
+    assert game.utilities[0].tolist() == [0.0, float(entry)]
+
+
+@pytest.mark.parametrize("entry", [True, "1", None, [1]], ids=["bool", "str", "none", "list"])
+def test_game_from_json_rejects_non_numbers(entry):
+    obj = {"players": 2, "strategies": [1, 2], "utilities": [[0, 1], [0.5, entry]]}
+    with pytest.raises(GameFormatError, match=r"^utilities\[1\]: entries must be numbers$"):
+        game_from_json(obj)
 
 
 # -- response graph ----------------------------------------------------------

@@ -18,7 +18,7 @@ from sinklimit import (
     random_game,
     stationary_distribution,
 )
-from sinklimit.solver import _state_reduction_hitting
+from sinklimit.solver import _DENSE_MAX, _solve_block, _state_reduction_hitting
 
 from test_acceptance import _tie_game_set
 
@@ -59,6 +59,23 @@ def reference_state_reduction_hitting(P: np.ndarray, mask: np.ndarray) -> np.nda
     for k, row in reversed(stack):
         hrows[k] = row @ hrows
     return hrows[transient]
+
+
+def cycle(n: int) -> sp.csr_matrix:
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    return sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+
+
+def gamblers_ruin(n: int) -> StochasticMatrix:
+    """A fair walk on 0..n-1 that stops at both ends: one block of n - 2 states."""
+    inner = np.arange(1, n - 1)
+    P = sp.csr_matrix(
+        (np.full(2 * (n - 2), 0.5), (np.r_[inner, inner], np.r_[inner - 1, inner + 1])),
+        shape=(n, n),
+    )
+    mask = np.zeros(n, dtype=bool)
+    mask[[0, n - 1]] = True
+    return StochasticMatrix(P, mask)
 
 
 def identical_interest_game(players: int) -> Game:
@@ -113,10 +130,7 @@ def test_stationary_random_dense_chain_residual():
 
 def test_stationary_large_periodic_cycle():
     n = 600
-    T = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)
-    )
-    pi = stationary_distribution(T)
+    pi = stationary_distribution(cycle(n))
     np.testing.assert_allclose(pi, np.full(n, 1 / n), atol=1e-12)
 
 
@@ -177,14 +191,8 @@ def test_absorption_slowly_mixing_gamblers_ruin():
     # whose progress depends on mixing stalls here.
     n = 5000
     inner = np.arange(1, n - 1)
-    P = sp.csr_matrix(
-        (np.full(2 * (n - 2), 0.5), (np.r_[inner, inner], np.r_[inner - 1, inner + 1])),
-        shape=(n, n),
-    )
-    mask = np.zeros(n, dtype=bool)
-    mask[[0, n - 1]] = True
     start = time.perf_counter()
-    res = absorption_probabilities(StochasticMatrix(P, mask))
+    res = absorption_probabilities(gamblers_ruin(n))
     elapsed = time.perf_counter() - start
     np.testing.assert_allclose(res.hitting[:, 1], inner / (n - 1), rtol=0, atol=1e-9)
     np.testing.assert_allclose(res.hitting[:, 0], 1 - inner / (n - 1), rtol=0, atol=1e-9)
@@ -350,6 +358,10 @@ def test_stochastic_matrix_rejects_nan_rows():
             absorbing_chain(P, [2])
 
 
+# SuperLU only sees blocks of more than _DENSE_MAX states.
+BIG = _DENSE_MAX + 1
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_lu_solves_raise(monkeypatch, value):
     # NaN passes every `x > tol` check, so a NaN solve would reach the output.
@@ -359,11 +371,9 @@ def test_non_finite_lu_solves_raise(monkeypatch, value):
 
     monkeypatch.setattr(sp.linalg, "splu", lambda *args, **kwargs: LU())
     with pytest.raises(SolverConvergenceError):
-        stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    P = np.zeros((5, 5))
-    P[[1, 2, 3], [0, 1, 2]] = P[[1, 2, 3], [2, 3, 4]] = 0.5
+        stationary_distribution(cycle(BIG))
     with pytest.raises(SolverConvergenceError):
-        absorption_probabilities(absorbing_chain(P, [0, 4]))
+        absorption_probabilities(gamblers_ruin(BIG + 2))
 
 
 @pytest.mark.parametrize("step, error", [
@@ -384,14 +394,118 @@ def test_lu_allocation_failures_raise(monkeypatch, step, error):
         return LU()
 
     monkeypatch.setattr(sp.linalg, "splu", splu)
-    with pytest.raises(SolverConvergenceError, match="could not allocate") as info:
-        stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(SolverConvergenceError,
+                       match=f"sparse LU of {BIG} states could not allocate") as info:
+        stationary_distribution(cycle(BIG))
     assert info.value.__cause__ is error
-    P = np.zeros((5, 5))
-    P[[1, 2, 3], [0, 1, 2]] = P[[1, 2, 3], [2, 3, 4]] = 0.5
-    with pytest.raises(SolverConvergenceError, match="could not allocate") as info:
-        absorption_probabilities(absorbing_chain(P, [0, 4]))
+    with pytest.raises(SolverConvergenceError,
+                       match=f"sparse LU of {BIG} states could not allocate") as info:
+        absorption_probabilities(gamblers_ruin(BIG + 2))
     assert info.value.__cause__ is error
+
+
+@pytest.mark.parametrize("error, message", [
+    (np.linalg.LinAlgError("Singular matrix"), r"singular .*\(Singular matrix\)$"),
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     r"^dense solve of \d+ states could not allocate its memory"),
+    (None, "residual|non-finite"),
+])
+def test_dense_block_failures_raise(monkeypatch, error, message):
+    # `None` stands for a solve that returns NaN.
+    def solve(A, b):
+        if error is None:
+            return np.full(np.shape(b), np.nan)
+        raise error
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for run in (lambda: stationary_distribution(cycle(_DENSE_MAX)),
+                lambda: absorption_probabilities(gamblers_ruin(_DENSE_MAX + 2))):
+        with pytest.raises(SolverConvergenceError, match=message) as info:
+            run()
+        if error is not None:
+            assert info.value.__cause__ is error
+
+
+def block_chain(rng, sizes) -> tuple:
+    """Dense transition matrix and absorbing mask of a chain whose transient
+    states form strongly connected components of the given `sizes`.
+
+    A component is a cycle through its states plus random internal edges; a
+    single state has a self-loop half the time.  Half of the states have
+    edges into random earlier components, every fifth state one into an
+    absorbing state, and each component's first state one or the other, so
+    that no component is closed.  The states are shuffled, so components and
+    levels are not index ranges.
+    """
+    t, k = sum(sizes), 3
+    n = t + k
+    P = np.zeros((n, n))
+    bounds = np.cumsum([0, *sizes])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        members = np.arange(lo, hi)
+        if members.size > 1:
+            P[members, np.roll(members, -1)] += 1.0
+            for i in members:
+                P[i, rng.choice(members, size=2)] += rng.random(2)
+        elif rng.random() < 0.5:
+            P[lo, lo] = rng.random()
+        for i in members:
+            if lo and (rng.random() < 0.5 or i == lo):
+                P[i, rng.integers(0, lo, size=2)] += rng.random(2) + 0.01
+            if i % 5 == 0 or not lo:
+                P[i, t + rng.integers(0, k)] += rng.random() + 0.01
+    P[:t] /= P[:t].sum(axis=1, keepdims=True)
+    perm = rng.permutation(n)
+    mask = np.zeros(n, dtype=bool)
+    mask[perm[t:]] = True
+    inverse = np.argsort(perm)
+    return P[np.ix_(inverse, inverse)], mask
+
+
+def test_block_solve_matches_dense_reference(monkeypatch):
+    rng = np.random.default_rng(3)
+    sizes_seen = []
+
+    def spy(A, b, singular, **options):
+        sizes_seen.append(A.shape[0])
+        return _solve_block(A, b, singular, **options)
+
+    monkeypatch.setattr("sinklimit.solver._solve_block", spy)
+    for _ in range(6):
+        sizes = rng.choice([1, 1, 1, 2, 5, _DENSE_MAX, _DENSE_MAX + 6], size=12).tolist()
+        P, mask = block_chain(rng, sizes)
+        res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask))
+        Q = P[np.ix_(~mask, ~mask)]
+        R = P[np.ix_(~mask, mask)]
+        reference = np.linalg.solve(np.eye(Q.shape[0]) - Q, R)
+        np.testing.assert_allclose(res.hitting, reference, rtol=0, atol=1e-12)
+        assert np.any(np.diag(Q) > 0)
+    assert min(sizes_seen) > 1
+    assert min(sizes_seen) <= _DENSE_MAX < max(sizes_seen)
+
+
+def reachability(P: np.ndarray) -> np.ndarray:
+    """`reach[i, j]`: some path of length >= 0 leads from i to j."""
+    reach = (P > 0) | np.eye(len(P), dtype=bool)
+    for _ in range(len(P).bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return reach
+
+
+def test_hitting_zeros_are_the_unreachable_sinks():
+    rng = np.random.default_rng(8)
+    chains = [block_chain(rng, rng.choice([1, 1, 2, 4, _DENSE_MAX + 3], size=10).tolist())
+              for _ in range(4)]
+    while len(chains) < 200:
+        P, absorbing = random_sparse_chain(rng)
+        mask = np.zeros(len(P), dtype=bool)
+        mask[absorbing] = True
+        if reachability(P)[np.ix_(~mask, mask)].any(axis=1).all():
+            chains.append((P, mask))
+    for P, mask in chains:
+        res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask))
+        unreachable = ~reachability(P)[np.ix_(~mask, mask)]
+        assert np.array_equal(res.hitting == 0.0, unreachable)
 
 
 def test_state_reduction_allocation_failure_raises(monkeypatch):
