@@ -26,7 +26,6 @@ from .dot import export_dot
 from .errors import ContractViolation, GameFormatError, SolverConvergenceError
 from .game import (
     SCHEMA_VERSION,
-    decode_profile,
     game_to_json,
     load_game,
     profile_labels,
@@ -105,14 +104,16 @@ def _require_seed(args) -> int:
 def cmd_sinks(args) -> int:
     game = load_game(args.game)
     sinks = sink_equilibria(game, args.tie_tolerance)
+    # Every member's 1-indexed strategies in one mixed-radix pass.
+    members = np.concatenate(sinks)
+    digits = ((members[:, None] // game.strides) % game.strategy_counts + 1).tolist()
+    ends = np.cumsum([len(s) for s in sinks]).tolist()
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "sinks",
         "num_profiles": game.num_profiles,
         "sinks": [list(s) for s in sinks],
-        "sink_strategies": [
-            [[a + 1 for a in decode_profile(pid, game)] for pid in s] for s in sinks
-        ],
+        "sink_strategies": [digits[end - len(s) : end] for s, end in zip(sinks, ends)],
         "sink_labels": [_sink_label(j) for j in range(len(sinks))],
     }
     _emit_json(args, payload)
@@ -235,7 +236,7 @@ def cmd_random_game(args) -> int:
     try:
         counts = [int(s) for s in args.strategies.split(",")]
     except ValueError as exc:
-        raise GameFormatError(f"strategies: expected comma-separated integers") from exc
+        raise GameFormatError("strategies: expected comma-separated integers") from exc
     try:
         game = random_game(seed, args.players, counts, mode=args.mode, int_max=args.int_max)
         obj = game_to_json(game)

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from . import solver
 from .errors import ContractViolation
@@ -215,7 +215,7 @@ def delete_epsilon_edges(chain: EpsilonMC, orders: np.ndarray) -> EpsilonMC:
     """
     if orders.max() > 0:
         raise ContractViolation(f"cannot delete eps edges at max order {orders.max()} > 0")
-    chain.eps = sp.csr_matrix(chain.eps.shape)
+    chain.eps = scipy.sparse.csr_matrix(chain.eps.shape)
     return chain
 
 

@@ -6,6 +6,11 @@ the least significant digit, so profile ``(a_0, ..., a_{p-1})`` has id
 lives here next to `build_cmc`, which builds it; `epsmc` collapses it in
 place.  Nothing else here modifies a structure once it is built, so the
 others are safe for concurrent reads.
+
+The reduced response graph is a numpy `scc.CsrPattern`, so the sink search
+(`sink_equilibria`) never loads scipy.sparse.  Only the profile chain
+(`build_cmc`, `EpsilonMC`) does, on its first use: this module imports the
+`scipy` package alone, whose submodules load when first reached.
 """
 
 import json
@@ -13,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import ContractViolation, GameFormatError
-from .scc import sink_components
+from .scc import CsrPattern, sink_components
 
 SCHEMA_VERSION = 1
 _ROW_SUM_TOL = 1e-12
@@ -195,7 +200,7 @@ def build_response_graph(game: Game, tie_tolerance: float = 0.0) -> ResponseGrap
     return ResponseGraph(np.concatenate(regular), np.concatenate(ties))
 
 
-def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> sp.csr_matrix:
+def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> CsrPattern:
     """CSR pattern of a linear-size digraph with the same transitive closure
     as the response graph, every tie taken in both directions: at most two
     out-edges per node per line.  Each line is sorted by the moving player's
@@ -217,9 +222,7 @@ def build_reduced_response_graph(game: Game, tie_tolerance: float = 0.0) -> sp.c
         l, last = np.nonzero(cut[:, 1:] & (first < pos))
         rows += [members[:, :-1].ravel(), members[l, last]]
         cols += [members[:, 1:].ravel(), members[l, first[l, last]]]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    n = game.num_profiles
-    return sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    return CsrPattern.from_edges(game.num_profiles, np.concatenate(rows), np.concatenate(cols))
 
 
 def sink_equilibria(game: Game, tie_tolerance: float = 0.0) -> list:
@@ -228,10 +231,10 @@ def sink_equilibria(game: Game, tie_tolerance: float = 0.0) -> list:
     return sink_components(build_reduced_response_graph(game, tie_tolerance))
 
 
-def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+def _csr(n: int, rows, cols, vals) -> "scipy.sparse.csr_matrix":
     """n x n CSR matrix of triplets; parallel entries are summed in input order."""
     order = np.lexsort((cols, rows))
-    return sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
+    return scipy.sparse.csr_matrix((vals[order], (rows[order], cols[order])), shape=(n, n))
 
 
 class EpsilonMC:
@@ -249,7 +252,8 @@ class EpsilonMC:
     it; `epsmc` collapses it in place.
     """
 
-    def __init__(self, reg: sp.csr_matrix, eps: sp.csr_matrix, absorbing: np.ndarray, origin=None):
+    def __init__(self, reg: "scipy.sparse.csr_matrix", eps: "scipy.sparse.csr_matrix",
+                 absorbing: np.ndarray, origin=None):
         self.reg = reg
         self.eps = eps
         self.absorbing = absorbing
@@ -373,9 +377,9 @@ def game_from_json(obj) -> Game:
             f"strategies: expected a list of {players} counts"
         )
     if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in strategies):
-        raise GameFormatError(f"strategies: counts must be positive integers")
+        raise GameFormatError("strategies: counts must be positive integers")
     if not isinstance(utilities, list) or len(utilities) != players:
-        raise GameFormatError(f"utilities: expected one tensor per player")
+        raise GameFormatError("utilities: expected one tensor per player")
     n = math.prod(strategies)
     tensors = []
     for i, tensor in enumerate(utilities):

@@ -1,12 +1,50 @@
 """Strongly connected components (Pearce's one-rank search), their
 condensation levels and sink detection.
 
-Every function takes a square CSR matrix whose nonzero pattern is the edge
-set; node ids are the row indices.  Components come as lists of ascending
-members, ordered by smallest member.
+Every function takes a square CSR pattern: any object with `indptr`,
+`indices` and `shape`, whose stored entries are the edge set, such as a
+`CsrPattern` or a scipy CSR matrix.  Rows may hold repeated or unsorted
+columns.  Node ids are the row indices.  Components come as lists of
+ascending members, ordered by smallest member.  This module uses numpy
+alone, so the sink search never loads scipy.sparse.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class CsrPattern:
+    """The nonzero pattern of a square CSR matrix, held in numpy arrays:
+    row `v`'s columns are ``indices[indptr[v] : indptr[v + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_edges(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "CsrPattern":
+        """Pattern of the edges ``rows[i] -> cols[i]`` over nodes 0..n-1, each
+        row's columns ascending, as in scipy's canonical CSR; repeated edges
+        are kept."""
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        # One sort of row-major keys, several times faster than a lexsort;
+        # n * n fits in int64 for every graph whose node arrays fit in memory.
+        return cls(indptr, np.sort(np.asarray(rows, dtype=np.int64) * n + cols) % n)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.indptr.size - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+
+def _edges(matrix) -> tuple:
+    """Source and target of every stored entry of a CSR pattern."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices
 
 
 def component_numbers(matrix) -> np.ndarray:
@@ -69,8 +107,7 @@ def condensation_levels(matrix, numbers: np.ndarray) -> np.ndarray:
     goes to the higher number, so one pass over those edges by descending
     source number reaches each component after all of its successors.
     """
-    coo = matrix.tocoo()
-    src, dst = numbers[coo.row], numbers[coo.col]
+    src, dst = (numbers[ends] for ends in _edges(matrix))
     cross = src != dst
     by_source = np.argsort(-src[cross], kind="stable")
     level = [0] * matrix.shape[0]  # by component number
@@ -102,9 +139,8 @@ def group_ids(num_nodes: int, groups: list[list[int]]) -> np.ndarray:
 def leaving(components: list[list[int]], matrix) -> np.ndarray:
     """Mask of the components that some edge of `matrix` leaves."""
     comp_of = group_ids(matrix.shape[0], components)
-    coo = matrix.tocoo()
-    src = comp_of[coo.row]
-    out = (src >= 0) & (src != comp_of[coo.col])
+    src, dst = (comp_of[ends] for ends in _edges(matrix))
+    out = (src >= 0) & (src != dst)
     return np.bincount(src[out], minlength=len(components)) > 0
 
 

@@ -13,15 +13,17 @@ rate to fail on slowly mixing chains.  The epsilon oracle alone uses a
 subtraction-free state reduction, in place on one dense matrix, instead.
 All functions are pure and reentrant.
 
-``scipy.sparse.linalg`` is reached as ``sp.linalg`` inside `_solve_block`,
-so that importing this module, and solving chains whose components all have
-at most `_DENSE_MAX` states, does not pay for loading it.
+This module imports the `scipy` package alone and spells every call
+``scipy.sparse.<name>``, so scipy loads each submodule when a call first
+reaches it.  Importing this module loads neither; the exact path loads
+``scipy.sparse`` with its first chain, and ``scipy.sparse.linalg`` only
+when `_solve_block` meets a component of more than `_DENSE_MAX` states.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import SolverConvergenceError
 from .game import EpsilonMC
@@ -43,7 +45,7 @@ class StochasticMatrix:
     entries, not even zeros (the chain stops there).
     """
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     absorbing: np.ndarray
 
     def __post_init__(self):
@@ -95,7 +97,7 @@ def _solve_block(A, b: np.ndarray, singular: str, **options) -> np.ndarray:
     try:
         if dense:
             return np.linalg.solve(A.toarray(), b)
-        return sp.linalg.splu(A.tocsc(), **options).solve(b)
+        return scipy.sparse.linalg.splu(A.tocsc(), **options).solve(b)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise SolverConvergenceError(f"{singular} ({exc})") from exc
     except (SystemError, MemoryError) as exc:
@@ -127,7 +129,7 @@ def stationary_distribution(chain) -> np.ndarray:
         component is not strongly connected.  So does a solve that cannot
         allocate its memory.
     """
-    T = sp.coo_matrix(chain, dtype=float)
+    T = scipy.sparse.coo_matrix(chain, dtype=float)
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"transition matrix is {T.shape}, not square")
@@ -144,7 +146,7 @@ def stationary_distribution(chain) -> np.ndarray:
     # Assembled from triplets: sparse algebra costs about 0.2 ms per
     # operation, several times the whole solve of a small component.
     keep = dst != n - 1
-    A = sp.coo_matrix(
+    A = scipy.sparse.coo_matrix(
         (
             np.concatenate([p[keep], np.full(n - 1, -1.0), np.ones(n)]),
             (
@@ -257,7 +259,8 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
                             bound_excess)
 
 
-def _level_solve(rows: sp.csr_matrix, numbers: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
+                 levels: np.ndarray) -> np.ndarray:
     """``[H; I]`` for the hitting rows ``H = (I - Q)^{-1} R``, where
     ``rows = [Q R]``, solved along the condensation of Q, level by level.
 
@@ -277,7 +280,7 @@ def _level_solve(rows: sp.csr_matrix, numbers: np.ndarray, levels: np.ndarray) -
     inner[inner] = numbers[order[coo.row[inner]]] == numbers[coo.col[inner]]
     numbers, levels = numbers[order], levels[order]
     crossing, inside = (
-        sp.csr_matrix((coo.data[m], (coo.row[m], coo.col[m])), shape=rows.shape)
+        scipy.sparse.csr_matrix((coo.data[m], (coo.row[m], coo.col[m])), shape=rows.shape)
         for m in (~inner, inner)
     )
     loops = inner & (order[coo.row] == coo.col)
@@ -305,14 +308,14 @@ def _level_solve(rows: sp.csr_matrix, numbers: np.ndarray, levels: np.ndarray) -
             # SuperLU's diagonal pivots are stable.  COLAMD in symmetric
             # mode was the fastest ordering measured on game chains.
             HI[members] = _solve_block(
-                sp.eye(b - a, format="csr") - inside[a:b][:, members], B[a - lo : b - lo],
-                "absorption system is singular", permc_spec="COLAMD",
+                scipy.sparse.eye(b - a, format="csr") - inside[a:b][:, members],
+                B[a - lo : b - lo], "absorption system is singular", permc_spec="COLAMD",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
     return HI
 
 
-def _state_reduction_hitting(csr: sp.csr_matrix, mask: np.ndarray) -> np.ndarray:
+def _state_reduction_hitting(csr: "scipy.sparse.csr_matrix", mask: np.ndarray) -> np.ndarray:
     """Censoring elimination of the transient states, then back-substitution.
 
     Every quantity is a sum or product of nonnegative numbers, which is what
@@ -386,7 +389,7 @@ def oracle_hitting_at_epsilon(chain: EpsilonMC, eps: float) -> AbsorptionResult:
         reg.data * (1.0 - eps_mass[reg.row]),
         np.where(has_reg[tie.row], tie.data * eps, tie.data / tie_total[tie.row]),
     ])
-    matrix = sp.csr_matrix(
+    matrix = scipy.sparse.csr_matrix(
         (vals, (np.concatenate([reg.row, tie.row]), np.concatenate([reg.col, tie.col]))),
         shape=(n, n),
     )

@@ -852,7 +852,7 @@ def test_lu_allocation_failure_exits_three(tmp_path, capsys, monkeypatch, error)
     def failing_splu(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(sinklimit.solver.sp.linalg, "splu", failing_splu)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", failing_splu)
     code, out, err = run_cli(capsys, "hit", write_game(tmp_path, random_game(0, 2, (9, 9))))
     assert (code, out) == (3, "")
     assert err.startswith("NUMERIC_ERROR: sparse LU of 73 states") and str(error) in err
@@ -889,6 +889,46 @@ def test_hit_with_small_blocks_leaves_sparse_linalg_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "0 False\n"
     assert json.loads((tmp_path / "hit.json").read_text())["rounds"] == 2
+
+
+def modules_after(statements: str) -> list[str]:
+    """The scipy.sparse modules a fresh interpreter holds after `statements`."""
+    code = statements + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.sparse'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sinks", "{game}"],
+    ["random-game", "--seed", "1", "-p", "2", "-s", "3,3"],
+    ["limit", "{game}", "uniform", "--seed", "1", "--max-samples", "2"],
+    ["simulate", "{game}", "pure:{weights}", "--seed", "1", "--max-samples", "1"],
+], ids=["sinks", "random-game", "limit uniform", "simulate pure:"])
+def test_commands_without_a_chain_leave_scipy_sparse_unloaded(tmp_path, fig2_game, argv):
+    # The sink search and the simulator hold the reduced graph as a numpy
+    # CSR pattern; only the profile chain and its solves load scipy.sparse.
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([1 / 9] * 9))
+    argv = [a.format(game=write_game(tmp_path, fig2_game), weights=weights) for a in argv]
+    argv += ["-o", str(tmp_path / "out.json")]
+    assert modules_after(f"from sinklimit.cli import main\nassert main({argv!r}) == 0") == []
+    assert json.loads((tmp_path / "out.json").read_text())
+
+
+def test_hit_with_a_large_block_loads_sparse_linalg(tmp_path, capsys):
+    # The 73-state block of this game goes to SuperLU, loaded on first use;
+    # the fresh process writes the bytes this one, with scipy loaded, writes.
+    game = write_game(tmp_path, random_game(0, 2, (9, 9)))
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    loaded = modules_after(
+        f"from sinklimit.cli import main\nassert main(['hit', {game!r}, '-o', {str(fresh)!r}]) == 0"
+    )
+    assert "scipy.sparse.linalg" in loaded
+    assert run_cli(capsys, "hit", game, "-o", str(here)) == (0, "", "")
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_state_reduction_allocation_failure_exits_three(tmp_path, capsys, fig3_game,

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sinklimit import (
     Game,
@@ -236,32 +237,56 @@ def test_reduced_line_trailing_tie_group():
     assert successors(red) == ((1,), (0,))
 
 
+def line_sort_successors(game, tol) -> list[set]:
+    """The reduced graph's successor sets by the per-line loop the array code
+    replaced: sort each line, chain it, close each tie group."""
+    expected = [set() for _ in range(game.num_profiles)]
+    for player, s in enumerate(game.strategy_counts):
+        for base in range(game.num_profiles):
+            profile = list(decode_profile(base, game))
+            if profile[player]:
+                continue
+            line = [encode_profile(profile[:player] + [a] + profile[player + 1 :], game)
+                    for a in range(s)]
+            line.sort(key=lambda pid: game.utility(player, pid))
+            start = 0
+            for j in range(s):
+                if j + 1 < s:
+                    expected[line[j]].add(line[j + 1])
+                gap = j + 1 == s or (game.utility(player, line[j + 1])
+                                     - game.utility(player, line[j]) > tol)
+                if gap:
+                    if j > start:
+                        expected[line[j]].add(line[start])
+                    start = j + 1
+    return expected
+
+
 def test_reduced_graph_matches_line_sort():
-    # The per-line loop the array code replaced: sort, chain, close each tie group.
     for game in list(seeded_tie_games())[::4]:
         for tol in (0.0, 0.5):
-            expected = [set() for _ in range(game.num_profiles)]
-            for player, s in enumerate(game.strategy_counts):
-                for base in range(game.num_profiles):
-                    profile = list(decode_profile(base, game))
-                    if profile[player]:
-                        continue
-                    line = [encode_profile(profile[:player] + [a] + profile[player + 1 :], game)
-                            for a in range(s)]
-                    line.sort(key=lambda pid: game.utility(player, pid))
-                    start = 0
-                    for j in range(s):
-                        if j + 1 < s:
-                            expected[line[j]].add(line[j + 1])
-                        gap = j + 1 == s or (game.utility(player, line[j + 1])
-                                             - game.utility(player, line[j]) > tol)
-                        if gap:
-                            if j > start:
-                                expected[line[j]].add(line[start])
-                            start = j + 1
+            expected = line_sort_successors(game, tol)
             red = build_reduced_response_graph(game, tol)
             assert successors(red) == tuple(tuple(sorted(a)) for a in expected)
             assert red.nnz == sum(map(len, expected))
+
+
+def test_reduced_graph_is_scipy_canonical_csr():
+    # The numpy pattern stores what scipy's canonical CSR of the same edges
+    # stores: rows in order, each row's columns ascending, no repeats.
+    rng = np.random.default_rng(27)
+    for game in list(seeded_tie_games())[::4]:
+        for tol in (0.0, 0.5):
+            edges = [(u, v) for u, succ in enumerate(line_sort_successors(game, tol))
+                     for v in succ]
+            rows, cols = np.array(edges).T[:, rng.permutation(len(edges))]
+            n = game.num_profiles
+            want = sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+            want.sum_duplicates()
+            red = build_reduced_response_graph(game, tol)
+            assert red.shape == want.shape and red.nnz == want.nnz
+            assert red.indptr.tolist() == want.indptr.tolist()
+            assert red.indices.tolist() == want.indices.tolist()
 
 
 def test_reduced_closure_and_sinks_match_full():

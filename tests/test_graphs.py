@@ -1,7 +1,15 @@
 import numpy as np
 import scipy.sparse as sp
 
-from sinklimit.scc import group_ids, leaving, sink_components, strongly_connected_components
+from sinklimit.scc import (
+    CsrPattern,
+    component_numbers,
+    condensation_levels,
+    group_ids,
+    leaving,
+    sink_components,
+    strongly_connected_components,
+)
 
 
 def csr(adj) -> sp.csr_matrix:
@@ -66,6 +74,28 @@ def test_components_and_sinks_match_brute_force_closure():
         assert strongly_connected_components(matrix) == want
         closed = [c for c in want if reach[c[0]].sum() == len(c)]
         assert sink_components(matrix) == closed
+
+
+def test_numpy_patterns_match_scipy_matrices():
+    # `leaving` and `condensation_levels` read `indptr`/`indices` alone: the
+    # scipy matrix, its own arrays in a `CsrPattern` and the sorted pattern of
+    # its shuffled edges give the same arrays.
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        matrix = random_digraph(rng, int(rng.integers(0, 31)))
+        coo = matrix.tocoo()
+        shuffle = rng.permutation(coo.nnz)
+        patterns = [CsrPattern(matrix.indptr, matrix.indices),
+                    CsrPattern.from_edges(matrix.shape[0], coo.row[shuffle], coo.col[shuffle])]
+        comps = strongly_connected_components(matrix)
+        want_leaving = leaving(comps, matrix)
+        want_levels = condensation_levels(matrix, component_numbers(matrix))
+        for pattern in patterns:
+            assert pattern.shape == matrix.shape and pattern.nnz == matrix.nnz
+            assert strongly_connected_components(pattern) == comps
+            assert leaving(comps, pattern).tolist() == want_leaving.tolist()
+            levels = condensation_levels(pattern, component_numbers(pattern))
+            assert levels.tolist() == want_levels.tolist()
 
 
 def test_long_cycle_is_one_component():
