@@ -3,46 +3,40 @@
 A mixed strategy profile is a tuple of per-player probability vectors.  The
 dynamics adds a best-response drift and projected Gaussian noise to each
 player's vector and projects back onto the simplex of the current support,
-so supports never grow.  Trajectories are classified to a sink by two
-rules.  The window rule: the nearest pure profile stays inside that sink
-for a window of consecutive steps and the state passes close to a vertex at
-least once in the window.  The face rule: every profile in the run's face,
-the product of its supports, has one sink id (or lies in no sink, id -1);
-the nearest profile never leaves the face, so the run's sink is fixed.
+so supports never grow.  One rule classifies a trajectory, the face rule:
+once every profile in the run's face, the product of its supports, has one
+sink id (or lies in no sink, id -1), the run's sink is fixed, because the
+nearest pure profile never leaves the face.
 
 The estimator steps every run of a checkpoint block (`_CHECKPOINT_EVERY`
 samples times runs per sample) as one batch.  Noise is drawn one block of
-steps at a time; within a noise block each step only advances the batch
-and keeps its state, and one pass over the block's states then classifies
-every run by the window rule; the face rule is checked once, at the
-block's last step.  What is the same for every step of a noise block is
-made once per block: the noise, scaled by delta, and `_BlockConstants`; a
-step computes only what depends on the batch's state.  Expected utilities
-and best responses have one kernel, `_best_responses`, which the step and
-`best_response_vector` (on a one-run batch) both call.  A run leaves the
-batch at the end of the noise block in which either rule settles it.
-The batch is one zero-padded array of shape (players, runs, widest
-strategy count), so each step and each classification makes one numpy
-call per operation for all players, not one per player; a pad slot is
-zero and never enters a support.  Each run draws its noise from its own
-generator, seeded by a splittable (root, sample, run) scheme, so a run's
-trajectory does not depend on which runs share its batch and results are
-bit-identical for a given root seed.
+steps at a time; within a noise block each step only advances the batch,
+and at the block's last step the face rule runs once, on the sink ids of
+the runs' nearest profiles.  A run leaves the batch at the end of the noise
+block in which the face rule settles it.  What is the same for every step
+of a noise block is made once per block: the noise, scaled by delta, and
+`_BlockConstants`; a step computes only what depends on the batch's state.
+Expected utilities and best responses have one kernel, `_best_responses`
+(per player, one matrix product, then one multiply-sum per further
+opponent), which the step and `best_response_vector` (on a one-run batch)
+both call.  The batch is one zero-padded array of shape (players, runs,
+widest strategy count), so each step makes one numpy call per operation for
+all players, not one per player; a pad slot is zero and never enters a
+support.  Each run draws its noise from its own generator, seeded by a
+splittable (root, sample, run) scheme, so a run's trajectory does not
+depend on which runs share its batch and results are bit-identical for a
+given root seed.
 
-The dynamics has two parameters, `eta` and `delta`.  Six module constants
+The dynamics has two parameters, `eta` and `delta`.  Four module constants
 fix the estimator's own rules:
-- `_NOISE_BLOCK`: steps drawn and classified at once, and the face rule's
-  period; no result depends on it.
+- `_NOISE_BLOCK`: steps drawn at once, and the face rule's period; no
+  result depends on it.
 - `_CHECKPOINT_EVERY`: prior samples batched between stopping-rule checks.
-- `_VERTEX_TOLERANCE`: how near a vertex counts as close for classification.
-- `_WINDOW`: in-sink steps that classify a run, so passing through a sink does not.
 - `_EXTINCTION_FLOOR`: probabilities below it go extinct, so supports can shrink.
 - `_VERTEX_SMOOTHING`: mass spread at a pure prior's start; an exact vertex never moves.
 """
 
-import functools
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +46,8 @@ from .errors import ContractViolation, SolverConvergenceError
 from .game import Game, decode_profile, sink_equilibria
 from .scc import group_ids
 
-_NOISE_BLOCK = 64
+_NOISE_BLOCK = 32
 _CHECKPOINT_EVERY = 8
-_VERTEX_TOLERANCE = 0.05
-_WINDOW = 50
 _EXTINCTION_FLOOR = 1e-9
 _VERTEX_SMOOTHING = 0.1
 
@@ -202,39 +194,28 @@ class Prior:
 # -- core numerics -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _utility_subscripts(p: int, player: int) -> str:
-    """einsum subscripts of `player`'s expected utilities: letter j is player
-    j's strategy axis and letter p the run axis, lettered as numpy letters
-    the sublist labels 0, 1, ..., so the summation order is the same."""
-    letters = string.ascii_uppercase + string.ascii_lowercase
-    if p >= len(letters):
-        raise ValueError(f"expected utilities take at most {len(letters) - 1} players, got {p}")
-    opponents = [letters[p] + letters[j] for j in range(p) if j != player]
-    return f"{letters[p - 1::-1]},{','.join(opponents)}->{letters[p]}{letters[player]}"
-
-
 def _simplex_rows(V: np.ndarray, mask: np.ndarray, ranks: np.ndarray,
                   row_ids: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean projection onto the simplex over masked coords.
 
     `ranks` (1..k) and `row_ids` (0..len(V)-1) are built once per noise
-    block.  Per call: the masked coords sorted decreasing into s with running
-    sums cs; rho counts the j with s_j + (1 - cs_j)/j > 0 and the shift is
-    (1 - cs_rho)/rho, both read from one `1 - cs` array.
+    block.  Per call: the rows with -inf off the mask, sorted decreasing into
+    s with running sums cs; rho counts the j with j s_j > cs_j - 1, which is
+    s_j + (1 - cs_j)/j > 0 and is false at -inf, and the shift is
+    (1 - cs_rho)/rho.  An unmasked coordinate stays -inf until the clip.
     """
     Vm = np.where(mask, V, -np.inf)
-    Vm.sort(axis=1)
-    s = Vm[:, ::-1]
-    r = 1.0 - np.where(np.isfinite(s), s, 0.0).cumsum(axis=1)
-    rho = (s + r / ranks > 0).sum(axis=1)
-    # rho is 0 only where rounding cancelled a whole row (eta = 1e200, say):
-    # its shift is then -inf or NaN, the row keeps no positive coordinate,
-    # and `_check_supports` reports the failure.
+    s = np.sort(Vm, axis=1)[:, ::-1]
+    cs = s.cumsum(axis=1)
+    rho = (s * ranks > cs - 1.0).sum(axis=1)
+    # rho is 0 only where rounding cancelled a whole row (eta = 1e200, say)
+    # or the row's mask is empty: the shift from its largest coordinate is
+    # then infinite or NaN, the clip (`fmax`, which maps NaN to 0) leaves the
+    # row no positive coordinate, and `_check_supports` reports the failure.
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = r[row_ids, rho - 1] / rho
-    W = V + lam[:, None]
-    return np.where(mask, np.maximum(W, 0.0, out=W), 0.0)
+        lam = (1.0 - cs[row_ids, np.maximum(rho, 1) - 1]) / rho
+        Vm += lam[:, None]
+    return np.fmax(Vm, 0.0, out=Vm)
 
 
 def _project_rows(V: np.ndarray, mask: np.ndarray, floor: float, ranks: np.ndarray,
@@ -301,15 +282,27 @@ def _pad(game: Game, x, runs: int) -> np.ndarray:
     return X
 
 
+def _oriented_utilities(game: Game, player: int, opponents: list) -> np.ndarray:
+    """`player`'s payoffs as an `(s_j, rest)` matrix: row b is the first
+    opponent j's strategy b, and the columns run row-major over the further
+    `opponents`, then `player` last.  Built from flat profile ids, so no
+    array has one axis per player."""
+    ids = np.zeros(1, dtype=np.intp)
+    for j in opponents + [player]:
+        ids = (ids[:, None] + game.strides[j] * np.arange(game.strategy_counts[j])).ravel()
+    return game.utilities[player][ids].reshape(game.strategy_counts[opponents[0]], -1)
+
+
 class _BlockConstants:
     """What every step of a noise block over `runs` runs shares.
 
     `players[i]` cuts player i's strategies out of the padded batch; each
-    of `terms` is a player's einsum subscripts, tensor and output view into
-    the utility buffer `eu` (with one player, `eu` is the constant payoff
-    row and `terms` is empty); `cells[i, r]` is the flat index of the first
-    slot of player i's row for run r; `ranks` and `row_ids` index the
-    projection's rows.
+    of `terms` is a player's opponents in increasing order, their oriented
+    payoff matrix (`_oriented_utilities`) and the output view into the
+    utility buffer `eu` (with one player, `eu` is the constant payoff row and
+    `terms` is empty); `cells[i, r]` is the flat index of the first slot of
+    player i's row for run r; `ranks` and `row_ids` index the projection's
+    rows.
     """
 
     def __init__(self, game: Game, runs: int):
@@ -317,12 +310,13 @@ class _BlockConstants:
         widest = max(counts)
         self.eu = np.empty((p, runs, widest))
         self.players = [np.s_[i, :, :s] for i, s in enumerate(counts)]
-        if p == 1:
-            self.eu[0] = game.utilities[0]
-            self.terms = []
-        else:
-            self.terms = [(_utility_subscripts(p, i), game.tensor(i), self.eu[key])
-                          for i, key in enumerate(self.players)]
+        self.terms = []
+        for i, key in enumerate(self.players):
+            opponents = [j for j in range(p) if j != i]
+            if opponents:
+                self.terms.append((opponents, _oriented_utilities(game, i, opponents), self.eu[key]))
+            else:
+                self.eu[key] = game.utilities[i]
         self.ranks = np.arange(1, widest + 1)
         self.row_ids = np.arange(p * runs)
         self.cells = (self.row_ids * widest).reshape(p, runs)
@@ -332,10 +326,17 @@ def _best_responses(X, mask: np.ndarray, consts: _BlockConstants) -> np.ndarray:
     """The one expected-utility kernel: each player's expected utilities
     against the others' rows of the padded batch `X`, into `consts.eu`, and
     the `(players, runs)` index of each run's best response among the
-    strategies where `mask` holds (ties break to the lowest index)."""
+    strategies where `mask` holds (ties break to the lowest index).  Per
+    player, one matrix product contracts the first opponent's strategy
+    axis; each further opponent's axis, which then comes first after the
+    run axis, is contracted by one multiply-sum per run (a two-operand
+    einsum).  With two players the product alone writes `eu`."""
     views = [X[key] for key in consts.players]
-    for i, (subscripts, tensor, out) in enumerate(consts.terms):
-        np.einsum(subscripts, tensor, *views[:i], *views[i + 1:], out=out)
+    for (first, *rest), T, out in consts.terms:
+        M = np.matmul(views[first], T, out=None if rest else out)
+        for j in rest:
+            M = np.einsum("rkm,rk->rm", M.reshape(len(M), views[j].shape[1], -1), views[j],
+                          out=out if j == rest[-1] else None)
     return np.where(mask, consts.eu, -np.inf).argmax(axis=2)
 
 
@@ -402,47 +403,24 @@ def _check_supports(X) -> None:
         )
 
 
-def _settle_block(H, sink_of: np.ndarray, strides: np.ndarray, done: int, streak):
-    """Classify the runs of one noise block by the window rule in one pass.
-
-    `H[t]` is the padded batch after step `done + t + 1`; it is overwritten.
-    `streak` holds each run's streak before the block: its sink, the step it
-    began at and the last step that came close to a vertex (0 before any).
-    Returns which runs settled in the block; the sink of each run, at the
-    first step it settled or else at the block's last step; and every run's
-    streak after the block.
-    """
-    arg = H.argmax(axis=3)
-    s = sink_of[strides @ arg]
-    np.subtract(H, arg[..., None] == np.arange(H.shape[3]), out=H)
-    close = np.abs(H, out=H).max(axis=(1, 3)) < _VERTEX_TOLERANCE
-    # A streak begins where the sink changes; it is close once a step since
-    # its beginning was.
-    sink, start, last = streak
-    t = np.arange(done + 1, done + len(H) + 1)[:, None]
-    start = np.maximum.accumulate(np.where(s != np.vstack([sink, s[:-1]]), t, start))
-    last = np.maximum.accumulate(np.where(close, t, last))
-    settled = (s >= 0) & (t - start >= _WINDOW - 1) & (last >= start)
-    hit = settled.any(axis=0)
-    first = np.where(hit, settled.argmax(axis=0), len(H) - 1)
-    return hit, s[first, np.arange(s.shape[1])], (s[-1], start[-1], last[-1])
-
-
-def _one_sink_faces(X, s: np.ndarray, sink_of: np.ndarray, counts) -> np.ndarray:
+def _one_sink_faces(game: Game, X, s: np.ndarray, sink_of: np.ndarray) -> np.ndarray:
     """The face rule: which runs of the padded batch `X` lie in a face (the
     product of their supports) whose every profile has the run's id `s`, its
     nearest profile's sink or -1.  Supports never grow and the nearest
     profile always lies in the face, so such a run's sink can no longer
     change.  One `(runs, profiles)` boolean array holds the profiles of
-    another id, cut down player by player to each run's face.  An empty
-    support would make an empty face pass, so `_check_supports` comes first.
+    another id, cut down player by player to each run's face: player i's
+    strategy is the middle axis of the profile ids viewed as
+    `(higher players, s_i, lower players)`.  An empty support would make an
+    empty face pass, so `_check_supports` comes first.
     """
     _check_supports(X)
-    runs, p = X.shape[1], len(counts)
-    other = (sink_of != s[:, None]).reshape((runs,) + tuple(counts[::-1]))
-    for i, c in enumerate(counts):
-        other &= (X[i, :, :c] > 0).reshape((runs,) + (1,) * (p - 1 - i) + (c,) + (1,) * i)
-    return ~other.reshape(runs, -1).any(axis=1)
+    runs = X.shape[1]
+    other = sink_of != s[:, None]
+    for i, (c, stride) in enumerate(zip(game.strategy_counts, game.strides)):
+        face = other.reshape(runs, -1, c, stride)
+        face &= (X[i, :, None, :c, None] > 0)
+    return ~other.any(axis=1)
 
 
 def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParams,
@@ -450,21 +428,18 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
     """Run one replicator trajectory per generator.
 
     `x0[i]` is player i's start: one vector shared by every run, or one row
-    per run.  Each noise block steps every live run and keeps its states,
-    then `_settle_block` classifies them by the window rule in one pass, and
-    the face rule (`_one_sink_faces`) settles each other run whose face at
-    the block's last step holds one sink id, -1 included; the runs that
-    settled leave the batch at the end of the block.  A run stepped past its
-    settling step draws only from its own stream, so no result changes.
-    Returns the sink index per run, -1 when not classified within
-    `params.max_steps` or settled in a face without sink profiles.
+    per run.  Each noise block steps every live run; at the block's last
+    step each run's id is its nearest profile's sink (-1 outside every
+    sink), and the face rule (`_one_sink_faces`) settles each run whose face
+    holds that id alone.  The runs that settled leave the batch.  Returns
+    the sink index per run, -1 when not settled within `params.max_steps` or
+    settled in a face without sink profiles.
     """
     runs = len(rngs)
     X = _pad(game, x0, runs)
     slots = _noise_slots(game)
     strides = np.array(game.strides)
     live = np.arange(runs)
-    streak = (np.full(runs, -1), np.zeros(runs, dtype=int), np.zeros(runs, dtype=int))
     result = np.full(runs, -1)
     done = 0
     while live.size and done < params.max_steps:
@@ -480,27 +455,21 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
         block = raw[:, :, slots].transpose(1, 2, 0, 3)
         del raw
         consts = _BlockConstants(game, live.size)
-        H = np.empty((steps,) + X.shape)
         for t in range(steps):
             X = _step_batch(game, X, params, block[t], consts)
-            H[t] = X
         del block
-        hit, sink, streak = _settle_block(H, sink_of, strides, done, streak)
-        del H
-        hit |= _one_sink_faces(X, sink, sink_of, game.strategy_counts)
+        sink = sink_of[strides @ X.argmax(axis=2)]
+        hit = _one_sink_faces(game, X, sink, sink_of)
         result[live[hit]] = sink[hit]
-        keep = ~hit
-        live, X = live[keep], X[:, keep]
-        streak = tuple(a[keep] for a in streak)
+        live, X = live[~hit], X[:, ~hit]
         done += steps
     return result
 
 
 def simulate_to_sink(game: Game, x0, sinks, params: ReplicatorParams, rng):
-    """Classify one trajectory started at `x0` by the window and face rules;
-    returns the sink index, or None when the run exhausts `max_steps`
-    unclassified or the face rule settles it in a face without sink
-    profiles."""
+    """Classify one trajectory started at `x0` by the face rule; returns the
+    sink index, or None when the run exhausts `max_steps` unsettled or
+    settles in a face without sink profiles."""
     check_mixed_profile(game, x0)
     res = _simulate_batch(game, x0, group_ids(game.num_profiles, sinks), params, [rng])
     return int(res[0]) if res[0] >= 0 else None
@@ -515,11 +484,11 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     noisy-replicator instances per draw, and accumulates the running average
     of the per-run outcomes.  The runs of each block of `_CHECKPOINT_EVERY`
     samples (a module constant, 8) are stepped as one batch, which a run
-    leaves at the end of the noise block in which the window rule or the
-    face rule settles it; each block ends at a checkpoint.  Stops when the
-    total-variation distance between the running averages at successive
-    checkpoints drops below `tv_tol` once some run has classified, or at the
-    `max_samples` budget.  A run counts as non-converged when it ends unclassified or the
+    leaves at the end of the noise block in which the face rule settles it;
+    each block ends at a checkpoint.  Stops when the total-variation
+    distance between the running averages at successive checkpoints drops
+    below `tv_tol` once some run has classified, or at the `max_samples`
+    budget.  A run counts as non-converged when it ends unsettled or the
     face rule settles it where no sink profile is left.  A step so large
     that a support empties raises `SolverConvergenceError`.  The sinks are
     those of the response graph at `tie_tolerance`.
@@ -541,8 +510,8 @@ def estimate_limit_distribution(game: Game, prior: Prior, params: ReplicatorPara
     samples = 0
     while samples < max_samples and not converged:
         block = range(samples, min(samples + _CHECKPOINT_EVERY, max_samples))
-        # numpy may fail to allocate the block's starts, its noise, history
-        # or draws: a run count beyond memory, reported as an input error.
+        # numpy may fail to allocate the block's starts, its noise or its
+        # draws: a run count beyond memory, reported as an input error.
         try:
             starts = [
                 prior.sample(game, np.random.default_rng(np.random.SeedSequence([root, s_idx])))

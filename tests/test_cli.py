@@ -437,7 +437,7 @@ def test_simulation_arrays_beyond_memory_exit_two(tmp_path, capsys, fig2_game, m
 
 
 def test_no_checkpoint_converges_before_a_run_classifies(tmp_path, capsys, fig2_game):
-    # Ten steps are fewer than the 50-step window, so no run classifies and every
+    # Ten steps close no run's face, so no run classifies and every
     # checkpoint is the same all-unclassified point, TV 0 from the one before.
     code, out, _ = run_cli(
         capsys, "limit", write_game(tmp_path, fig2_game), "uniform", "--seed", "1",

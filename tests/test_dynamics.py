@@ -24,7 +24,7 @@ from sinklimit import (
     vertex_profile,
 )
 import sinklimit.dynamics
-from sinklimit.dynamics import _VERTEX_TOLERANCE, _simulate_batch
+from sinklimit.dynamics import _simulate_batch
 from sinklimit.scc import group_ids
 
 
@@ -47,30 +47,14 @@ def exact_simplex_projection(v, mask):
 
 
 def reference_simulate(game, x0, sinks, params, rng):
-    """Independent re-implementation of the trajectory classification rule,
-    driven by the public single-step function."""
+    """Independent re-implementation of the face rule, checked at every step
+    and driven by the public single-step function."""
     lookup = group_ids(game.num_profiles, sinks)
     x = x0
-    streak_sink, streak_len, streak_close = -2, 0, False
     for _ in range(params.max_steps):
         x = noisy_replicator_step(game, x, params, rng)
         nearest = [int(np.argmax(xi)) for xi in x]
-        pid = sum(a * s for a, s in zip(nearest, game.strides))
-        s = int(lookup[pid])
-        dist = max(
-            float(np.max(np.abs(xi - np.eye(len(xi))[a])))
-            for xi, a in zip(x, nearest)
-        )
-        close = dist < _VERTEX_TOLERANCE
-        if s >= 0 and s == streak_sink:
-            streak_len += 1
-            streak_close = streak_close or close
-        elif s >= 0:
-            streak_sink, streak_len, streak_close = s, 1, close
-        else:
-            streak_sink, streak_len, streak_close = -2, 0, False
-        if streak_len >= sinklimit.dynamics._WINDOW and streak_close:
-            return s
+        s = int(lookup[sum(a * st for a, st in zip(nearest, game.strides))])
         # The face rule: every profile in the product of the supports has id s.
         face = itertools.product(*(np.flatnonzero(xi) for xi in x))
         if all(lookup[sum(a * st for a, st in zip(v, game.strides))] == s for v in face):
@@ -131,10 +115,45 @@ def test_many_player_game_matches_its_two_player_core():
         )
 
 
-def test_expected_utilities_reject_52_players():
+# Unequal strategy counts and one-strategy players, for 1 to 5 players.
+CONTRACTION_COUNTS = [(3,), (1,), (4, 3), (1, 3), (3, 1), (2, 3, 4), (3, 1, 2), (1, 2, 1),
+                      (2, 1, 3, 2), (3, 2, 2, 3), (2, 3, 1, 2, 2), (1, 1, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_best_responses_match_the_plain_einsum(p):
+    """The matmul-then-multiply-sum contraction gives each player's expected
+    utilities within rtol 1e-14 of one plain einsum, and the same best
+    responses, on batches with cut supports."""
+    for n, counts in enumerate(c for c in CONTRACTION_COUNTS if len(c) == p):
+        game = random_game(30 + n, p, counts)
+        X = mixed_starts(game, np.random.default_rng(n), 9)
+        padded = sinklimit.dynamics._pad(game, X, 9)
+        consts = sinklimit.dynamics._BlockConstants(game, 9)
+        best = sinklimit.dynamics._best_responses(padded, padded > 0, consts)
+        for i, s in enumerate(counts):
+            want = reference_utilities(game, X, i)
+            np.testing.assert_allclose(consts.eu[i, :, :s], want, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(best[i], np.where(X[i] > 0, want, -np.inf).argmax(axis=1))
+
+
+def test_expected_utilities_of_52_players():
+    """No player count limit: player 0 picks the payoff 0 or 1 and the 51
+    one-strategy players are paid what player 0 gets."""
     game = Game((2,) + (1,) * 51, (np.arange(2.0),) * 52)
-    with pytest.raises(ValueError):
-        block_utilities(game, [np.full((1, s), 1.0 / s) for s in game.strategy_counts], 0)
+    x = [np.array([0.75, 0.25])] + [np.ones(1)] * 51
+    eu = [block_utilities(game, [xi[None, :] for xi in x], i) for i in (0, 1, 51)]
+    np.testing.assert_array_equal(eu[0], [[0.0, 1.0]])
+    np.testing.assert_array_equal(eu[1], [[0.25]])
+    np.testing.assert_array_equal(eu[2], [[0.25]])
+    np.testing.assert_array_equal(best_response_vector(game, x, 0), [0.0, 1.0])
+    # The one sink is the profile where player 0 takes payoff 1; a run near
+    # it settles there at the end of its first noise block.
+    sinks = sink_equilibria(game)
+    assert sinks == [[1]]
+    x[0] = np.array([0.1, 0.9])
+    params = ReplicatorParams(max_steps=sinklimit.dynamics._NOISE_BLOCK)
+    assert simulate_to_sink(game, x, sinks, params, np.random.default_rng(0)) == 0
 
 
 # -- simplex projection ----------------------------------------------------------
@@ -199,10 +218,24 @@ def test_projection_cancelled_by_rounding_raises(fig2_game):
     np.testing.assert_array_equal(project_to_simplex(np.array([1e15, 0.0])), [1.0, 0.0])
     with pytest.raises(SolverConvergenceError, match="rounding"):
         project_to_simplex(np.array([1e16, 0.0]))
-    # So does a replicator step of eta = 1e200.
+    # So does a replicator step of eta = 1e200, also where a row has a pad.
     x = tuple(np.full(3, 1 / 3) for _ in range(2))
     with pytest.raises(SolverConvergenceError, match="eta/delta"):
         noisy_replicator_step(fig2_game, x, ReplicatorParams(eta=1e200), np.random.default_rng(0))
+    padded = random_game(2, 2, (2, 3))
+    x = (np.full(2, 1 / 2), np.full(3, 1 / 3))
+    with pytest.raises(SolverConvergenceError, match="eta/delta"):
+        noisy_replicator_step(padded, x, ReplicatorParams(eta=1e200), np.random.default_rng(0))
+
+
+def test_projection_of_a_cancelled_or_empty_row_is_zero():
+    """A row whose largest coordinate swamps 1, so that rounding cancels it,
+    and a row with an empty mask both project to zeros, pads included: no
+    inf or NaN enters the state, and `_check_supports` sees the row empty."""
+    V = np.array([[1e200, 0.0, 0.0], [0.3, 0.2, 0.0], [0.5, 0.5, 0.0]])
+    mask = np.array([[True, True, False], [False, False, False], [True, True, False]])
+    X = sinklimit.dynamics._project_rows(V, mask, 1e-9, np.arange(1, 4), np.arange(3))
+    np.testing.assert_array_equal(X, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
 
 
 # -- replicator step -------------------------------------------------------------
@@ -353,17 +386,14 @@ def frozen_settles(game, X, s, sink_of):
 
 def reference_simulate_batch(game, x0, sink_of, params, rngs, settles=face_settles,
                              unsettled=None):
-    """`_simulate_batch` over per-player arrays, classifying one player at a
-    time and checking `settles` (the face rule by default) at every step.
-    A dict passed as `unsettled` receives each run still live at the budget,
-    mapped to its last per-player state."""
+    """`_simulate_batch` over per-player arrays, finding each run's nearest
+    profile one player at a time and checking `settles` (the face rule by
+    default) at every step.  A dict passed as `unsettled` receives each run
+    still live at the budget, mapped to its last per-player state."""
     runs = len(rngs)
     X = [np.array(np.broadcast_to(np.asarray(x0[i], dtype=float), (runs, s)))
          for i, s in enumerate(game.strategy_counts)]
     live = np.arange(runs)
-    streak_sink = np.full(runs, -1)
-    streak_len = np.zeros(runs, dtype=int)
-    streak_close = np.zeros(runs, dtype=bool)
     result = np.full(runs, -1)
     block = np.empty((runs, sinklimit.dynamics._NOISE_BLOCK, sum(game.strategy_counts)))
     pos = sinklimit.dynamics._NOISE_BLOCK
@@ -376,30 +406,14 @@ def reference_simulate_batch(game, x0, sink_of, params, rngs, settles=face_settl
             pos = 0
         X = reference_step_batch(game, X, params, block[:, pos, :])
         pos += 1
-        m = live.size
-        nearest = np.zeros(m, dtype=int)
-        dist = np.zeros(m)
-        for i in range(game.num_players):
-            arg = np.argmax(X[i], axis=1)
-            nearest += arg * game.strides[i]
-            tmp = X[i].copy()
-            tmp[np.arange(m), arg] -= 1.0
-            dist = np.maximum(dist, np.max(np.abs(tmp), axis=1))
+        nearest = sum(np.argmax(xi, axis=1) * stride for xi, stride in zip(X, game.strides))
         s = sink_of[nearest]
-        in_sink = s >= 0
-        same = in_sink & (s == streak_sink)
-        streak_len = np.where(same, streak_len + 1, in_sink)
-        streak_close = (same & streak_close) | (in_sink & (dist < _VERTEX_TOLERANCE))
-        streak_sink = s
-        settled = (((streak_len >= sinklimit.dynamics._WINDOW) & streak_close)
-                   | settles(game, X, s, sink_of))
+        settled = settles(game, X, s, sink_of)
         result[live[settled]] = s[settled]
         keep = ~settled
         if not keep.all():
             live = live[keep]
             X = [xi[keep] for xi in X]
-            streak_sink, streak_len, streak_close = (
-                streak_sink[keep], streak_len[keep], streak_close[keep])
             block = block[keep]
     if unsettled is not None:
         unsettled.update({int(r): [xi[j] for xi in X] for j, r in enumerate(live)})
@@ -483,8 +497,8 @@ def test_padded_step_matches_per_player_reference(counts, floor, monkeypatch):
 
 
 # Seeds 4 and 6 give a sink cycle of 23, 5 and 6 profiles.  The short budget
-# ends while runs still settle by the window rule, so it checks when each run
-# is classified as well as where.
+# ends while runs' faces are still closing, so it checks when each run
+# settles as well as where.
 @pytest.mark.parametrize("counts, seed", zip(UNEQUAL_COUNTS, (4, 6, 7, 6, 7)))
 @pytest.mark.parametrize("floor", [1e-9, 0.2])
 def test_padded_simulation_matches_per_player_reference(counts, seed, floor, monkeypatch):
@@ -505,11 +519,11 @@ def test_padded_simulation_matches_per_player_reference(counts, seed, floor, mon
 
 
 def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatch):
-    """Four runs near the strict equilibrium settle in the first noise
-    block; the fifth steps on alone, through a budget that ends inside its
-    second block and then through its third, in which the window rule
-    settles it in the 4-cycle at step 133, while its face still holds a
-    third strategy (it closes at step 140)."""
+    """Four runs near the strict equilibrium settle at the end of the first
+    noise block (their faces close at steps 8-12); the fifth steps on alone,
+    through a budget that ends inside its fourth block and then through its
+    fifth, at whose end (step 160) the face rule settles it in the 4-cycle:
+    its face closes at step 140."""
     lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
     near = np.array([0.025, 0.025, 0.95])
     x0 = [np.vstack([np.tile(near, (4, 1)), np.random.default_rng(31).dirichlet(np.ones(3))])
@@ -520,29 +534,30 @@ def test_simulation_shrinking_to_one_run_matches_reference(fig2_game, monkeypatc
 
     rows = []
     step = sinklimit.dynamics._step_batch
+    monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", 32)
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
                         lambda game, X, *rest: rows.append(len(X[0])) or step(game, X, *rest))
+    outcomes = []
     for max_steps in (100, 1500):
         params = ReplicatorParams(max_steps=max_steps)
         got = _simulate_batch(fig2_game, x0, lookup, params, rngs())
         want = reference_simulate_batch(fig2_game, x0, lookup, params, rngs())
         np.testing.assert_array_equal(got, want)
-    assert got.tolist() == [1, 1, 1, 1, 0]
-    assert rows == [5] * 64 + [1] * 36 + [5] * 64 + [1] * 128
+        outcomes.append(got.tolist())
+    assert outcomes == [[1, 1, 1, 1, -1], [1, 1, 1, 1, 0]]
+    assert rows == [5] * 32 + [1] * 68 + [5] * 32 + [1] * 128
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_block_classification_matches_per_step_reference(block, fig2_game, monkeypatch):
-    """One classification pass per noise block settles every run at the step
-    the per-step rule does: budgets that end inside a block, windows longer
-    than a block (streaks carried from block to block) and frozen starts."""
+    """The face rule checked once per noise block settles every run in the
+    sink the per-step check gives it: budgets that end inside a block, a
+    face that closes inside a block and frozen starts."""
     monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", block)
     game = random_game(6, 3, (2, 2, 2), mode="integer", int_max=9)
     # The fig2 start's nearest profile is the strict equilibrium (3,3) from
-    # the first step; it first comes close at step 54 and its face closes
-    # at step 64, so a 20-step window classifies it by step 60 and a
-    # 100-step one leaves it to the face rule.  Vertex 5 of `game` is
-    # frozen outside its sinks.
+    # the first step, and its face closes at step 64, so the 60-step budget
+    # leaves it unsettled.  Vertex 5 of `game` is frozen outside its sinks.
     cases = [(game, mixed_starts(game, np.random.default_rng(5), 12), vertex_profile(game, 5)),
              (fig2_game, mixed_starts(fig2_game, np.random.default_rng(5), 12),
               (np.array([0.12, 0.08, 0.8]), np.array([0.11, 0.25, 0.64])))]
@@ -553,66 +568,72 @@ def test_block_classification_matches_per_step_reference(block, fig2_game, monke
     for g, rows, start in cases:
         lookup = group_ids(g.num_profiles, sink_equilibria(g))
         x0 = [np.vstack([r, x]) for r, x in zip(rows, start)]
-        for window in (20, 100):
-            monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
-            outcomes = []
-            for max_steps in (60, 131, 1500):
-                params = ReplicatorParams(max_steps=max_steps)
-                got = _simulate_batch(g, x0, lookup, params, rngs())
-                want = reference_simulate_batch(g, x0, lookup, params, rngs())
-                np.testing.assert_array_equal(got, want)
-                outcomes.append(got)
-            assert np.count_nonzero(outcomes[0] >= 0) < np.count_nonzero(outcomes[2] >= 0)
-            if g is game:
-                assert outcomes[2][-1] == -1
-            else:
-                assert [o[-1] for o in outcomes] == [1 if window < 60 else -1, 1, 1]
+        outcomes = []
+        for max_steps in (60, 131, 1500):
+            params = ReplicatorParams(max_steps=max_steps)
+            got = _simulate_batch(g, x0, lookup, params, rngs())
+            want = reference_simulate_batch(g, x0, lookup, params, rngs())
+            np.testing.assert_array_equal(got, want)
+            outcomes.append(got)
+        assert np.count_nonzero(outcomes[0] >= 0) < np.count_nonzero(outcomes[2] >= 0)
+        if g is game:
+            assert outcomes[2][-1] == -1
+        else:
+            assert [o[-1] for o in outcomes] == [-1, 1, 1]
 
 
-@pytest.mark.parametrize("window", [1, 20, 64, 65, 130])
-def test_window_completing_at_the_budget_classifies(fig2_game, monkeypatch, window):
-    # The start is close to the vertex (1,1) of the 4-cycle sink and its
-    # nearest profile never leaves the cycle, so its window completes at
-    # step `window`.  With eta and delta at 1e-4 its third strategies stay
-    # supported past step 130, so its face keeps the strict equilibrium
-    # (3,3) and only the window rule can classify it.
-    sinks = sink_equilibria(fig2_game)
-    x0 = tuple(np.array([0.97, 0.02, 0.01]) for _ in range(2))
-    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
-
-    def outcome(max_steps):
-        params = ReplicatorParams(eta=1e-4, delta=1e-4, max_steps=max_steps)
-        return simulate_to_sink(fig2_game, x0, sinks, params, np.random.default_rng(1))
-
-    assert (outcome(window - 1), outcome(window)) == (None, 0)
-
-
-@pytest.mark.parametrize("window, max_steps, want", [
-    (3, 64, 0), (4, 64, 1), (62, 64, None), (62, 65, 1),
-])
-def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, window, max_steps, want):
-    # A scripted trajectory: three steps close to a vertex of the 4-cycle
-    # sink, then close to the strict equilibrium (3,3).  A run that settles
-    # mid-block keeps stepping to the block's end; its later states must not
-    # change where it settled.
-    sinks = sink_equilibria(fig2_game)
-    cycle = tuple(np.array([0.98, 0.01, 0.01]) for _ in range(2))
-    strict = tuple(np.array([0.01, 0.01, 0.98]) for _ in range(2))
-    path = iter([cycle] * 3 + [strict] * 100)
+def scripted_steps(monkeypatch, path):
+    """Replace the replicator step by the profiles of `path`, one per step."""
+    path = iter(path)
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
                         lambda game, X, *rest: sinklimit.dynamics._pad(game, next(path), 1))
-    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", window)
+
+
+# A mixed profile whose face holds both sinks, and profiles in the faces of
+# the 4-cycle sink and of the strict equilibrium (3,3).
+UNSETTLED = tuple(np.full(3, 1 / 3) for _ in range(2))
+CYCLE = tuple(np.array([0.98, 0.02, 0.0]) for _ in range(2))
+STRICT = tuple(np.array([0.0, 0.0, 1.0]) for _ in range(2))
+
+
+@pytest.mark.parametrize("closing", [1, 20, 64, 65, 130])
+def test_window_completing_at_the_budget_classifies(fig2_game, monkeypatch, closing):
+    """The face rule's counterpart of a window completing at the budget: a
+    run whose face closes at step `closing`, at a block end or inside a
+    block, is settled by a budget of `closing` steps but not one fewer."""
+    sinks = sink_equilibria(fig2_game)
+
+    def outcome(max_steps):
+        scripted_steps(monkeypatch, [UNSETTLED] * (closing - 1) + [CYCLE] * 200)
+        params = ReplicatorParams(max_steps=max_steps)
+        return simulate_to_sink(fig2_game, UNSETTLED, sinks, params, np.random.default_rng(1))
+
+    assert (outcome(closing - 1), outcome(closing)) == (None, 0)
+
+
+@pytest.mark.parametrize("block, max_steps, want", [
+    (3, 64, 0), (4, 64, 1), (62, 64, None), (62, 65, 1),
+])
+def test_run_settles_at_its_first_settling_step(fig2_game, monkeypatch, block, max_steps, want):
+    # A scripted trajectory: three steps in the 4-cycle's face, one in the
+    # strict equilibrium's, sixty in a face of both sinks, then the strict
+    # equilibrium's again.  The face rule looks at block ends and at the
+    # budget only, and the first of those whose face holds one sink settles
+    # the run; later states must not change where it settled.
+    sinks = sink_equilibria(fig2_game)
+    scripted_steps(monkeypatch, [CYCLE] * 3 + [STRICT] + [UNSETTLED] * 60 + [STRICT] * 100)
+    monkeypatch.setattr(sinklimit.dynamics, "_NOISE_BLOCK", block)
     params = ReplicatorParams(max_steps=max_steps)
-    assert simulate_to_sink(fig2_game, cycle, sinks, params, np.random.default_rng(0)) == want
+    assert simulate_to_sink(fig2_game, CYCLE, sinks, params, np.random.default_rng(0)) == want
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3), (4, 4)])
 def test_face_rule_keeps_every_outcome_of_the_frozen_rule(shape):
-    """Against the per-step window and frozen rules it replaced, the face
-    rule at block ends changes no sink a run is classified to; a run the
-    old rule leaves unclassified stays so, or ends in a face whose every
-    profile has the sink the face rule gave it.  The short budget ends
-    inside a block, with many runs still live."""
+    """Against the per-step frozen rule it replaced, the face rule at block
+    ends changes no sink a run is classified to; a run the old rule leaves
+    unclassified stays so, or ends in a face whose every profile has the
+    sink the face rule gave it.  The short budget ends inside a block, with
+    many runs still live."""
     outcomes = np.zeros(2, dtype=int)  # runs the old rule classified, and left at -1
     for seed in range(10):
         game = random_game(seed, len(shape), shape)
@@ -636,15 +657,72 @@ def test_face_rule_keeps_every_outcome_of_the_frozen_rule(shape):
     assert np.all(outcomes > 0)
 
 
+# Per-run outcomes of the simulator that also settled runs by a window rule
+# (50 steps with the nearest profile in one sink, one of them within 0.05 of
+# a vertex), at the default budget: `_simulate_batch` over
+# `mixed_starts(game, default_rng(s), 30)` with run r seeded by (s, r), for
+# `random_game(s, ., shape)`, s = 0..9.  A digit is a sink, "." is -1.
+WINDOW_RULE_OUTCOMES = {
+    (3, 3): [
+        '00000020002.00.010022212200222', '0000000000.0.0.....0..000..00.',
+        '00000000000...00.0000000000000', '00000000000000.000000000000000',
+        '000000000000000000000000000000', '............0..0....0.........',
+        '0000000000.0.0....00000000.0.0', '000000.0.0.0......0.000000.0.0',
+        '00000000000.000000000000000000', '..............................',
+    ],
+    (2, 2, 2): [
+        '....................0....0...0', '000000000000.00000000000000000',
+        '..........0...0....0.0........', '000000000000000000000000000000',
+        '0000000000..00....000..0000000', '11111111111..11111.10100100111',
+        '000000000000000000000000000000', '00000000000000.00....000000000',
+        '0000000000..0...0....000.0000.', '0..........0........000....000',
+    ],
+    (4, 4): [
+        '0000..0...0....0...0...0......', '..........0....1.111.1.0001111',
+        '0000000000.0.00.....00.0.0000.', '111111111110.10001.110011.01.1',
+        '0000000000000.......0.00000.00', '11111111110101.111101111111.11',
+        '0000000000.0.0.00.0..000.00000', '000000000000.00000000000000000',
+        '0000000000.0002100020011010.02', '000.0....0....000.0000....00..',
+    ],
+    (3, 3, 3): [
+        '000000000000000000000000000000', '0.0000.00..0.0.....00.0....0..',
+        '0000000000...0.0......00000000', '100101100110....1.10.111.111.0',
+        '0000000000120.....1.2010011001', '...........2.2221...20..2.121.',
+        '..0..0..0..0.01............1..', '....................1.11.....1',
+        '..0.........000.0.0...001..000', '0000000000..0..0..000..0000.00',
+    ],
+    (5, 5): [
+        '000000000000000000000000000000', '000000000000000000000000000000',
+        '..............................', '2222222222032011330330121.2203',
+        '0000000000...00.0....0...000.0', '000000000000000000000000000000',
+        '0000000000.0...0.00.0.0..0..0.', '0.0......0..0..000......0.0000',
+        '000000000000000000000000000000', '.......0..0...0....0000.000..0',
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", list(WINDOW_RULE_OUTCOMES))
+def test_face_rule_alone_keeps_every_window_rule_outcome(shape):
+    """The window rule decided nothing the face rule does not: without it,
+    every run keeps its outcome, unsettled runs included."""
+    params = ReplicatorParams()
+    for s, want in enumerate(WINDOW_RULE_OUTCOMES[shape]):
+        game = random_game(s, len(shape), shape)
+        lookup = group_ids(game.num_profiles, sink_equilibria(game))
+        x0 = mixed_starts(game, np.random.default_rng(s), 30)
+        rngs = [np.random.default_rng(np.random.SeedSequence([s, r])) for r in range(30)]
+        got = _simulate_batch(game, x0, lookup, params, rngs)
+        assert "".join("." if v < 0 else str(v) for v in got) == want, f"seed {s}"
+
+
 def test_run_on_a_one_sink_face_settles_at_the_first_block_end(fig2_game, monkeypatch):
     # Started on the face {1,2}x{1,2}, which is the 4-cycle sink, the run
-    # can never leave it; with the window rule out of reach, the face rule
-    # settles it when the first noise block ends.
+    # can never leave it; the face rule settles it when the first noise
+    # block ends.
     rows = []
     step = sinklimit.dynamics._step_batch
     monkeypatch.setattr(sinklimit.dynamics, "_step_batch",
                         lambda game, X, *rest: rows.append(len(X[0])) or step(game, X, *rest))
-    monkeypatch.setattr(sinklimit.dynamics, "_WINDOW", 10**6)
     x0 = (np.array([0.6, 0.4, 0.0]), np.array([0.3, 0.7, 0.0]))
     sinks = sink_equilibria(fig2_game)
     params = ReplicatorParams()
@@ -724,8 +802,8 @@ def test_batch_width_does_not_change_runs(fig2_game):
         return _simulate_batch(fig2_game, [x[:width] for x in x0], lookup, params, rngs)
 
     wide = runs(10)
-    # Run 4's window completes at step 53, in the first block; run 3's face
-    # still holds a third strategy at the budget, so it never settles.
+    # Run 4's face closes at step 9, in the first block; run 3's face still
+    # holds a third strategy at the budget, so it never settles.
     assert wide[4] == 0 and wide[3] == -1
     np.testing.assert_array_equal(runs(5), wide[:5])
 
@@ -733,9 +811,9 @@ def test_batch_width_does_not_change_runs(fig2_game):
 def test_noise_block_length_does_not_change_runs(fig2_game, monkeypatch):
     # Each run refills its block rows from its own stream, so the block length
     # only decides when the draws happen, not what they are.
-    # Five of the runs settle by the window rule, at steps 59 to 153, so
-    # 7-step blocks carry their streaks; the budget ends inside a block of
-    # each length with one run unsettled.
+    # Nine of the runs' faces close, at steps 70 to 162, inside blocks of
+    # every length; the budget ends inside a block of each length with one
+    # run unsettled.
     lookup = group_ids(fig2_game.num_profiles, sink_equilibria(fig2_game))
     x0 = mixed_starts(fig2_game, np.random.default_rng(3), 10)
     params = ReplicatorParams(max_steps=200)
@@ -957,7 +1035,7 @@ def test_wide_batch_equals_per_sample_batches(fig2_game, fig3_game, case, monkey
         game, prior = fig3_game, Prior("uniform")
         params = ReplicatorParams(rng_seed=11, max_steps=2000)
         kwargs, every = dict(tv_tol=1e-9, runs_per_sample=4, max_samples=7), 3
-    else:  # fewer steps than the window: every checkpoint is all-unclassified
+    else:  # ten steps close no run's face: every checkpoint is all-unclassified
         game, prior = fig2_game, Prior("uniform")
         params = ReplicatorParams(rng_seed=1, max_steps=10)
         kwargs, every = dict(runs_per_sample=3, max_samples=12), 4
