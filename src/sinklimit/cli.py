@@ -11,6 +11,10 @@ Sink-indexed outputs (`sink_labels`, the cells of each `hit` row, the
 their size does not grow with a sink's membership.  `sinks[j]` lists the
 profile ids of `sink_<j>`; the `sinks` command also gives their strategies
 in `sink_strategies[j]`.
+
+JSON is indented by 2, except `hit`'s rows: each takes one line, its
+profile label and then exactly `json.dumps` of the row, and `_emit_json`
+formats and writes them a block of rows at a time.
 """
 
 import argparse
@@ -51,44 +55,54 @@ def _output(args):
         yield sys.stdout
 
 
+# Rows of the matrix `_emit_json` formats and writes at a time.
+_ROW_BLOCK = 256
+
+
 def _emit_json(args, payload: dict, rows=None) -> None:
     """Write `payload` as JSON indented by 2, then a newline.
 
     `rows`, a (row keys, column keys, float matrix) triple, is written after
     the payload's members as "rows": one object per matrix row, mapping
-    column keys to its entries.  The text is what `json.dump` writes for that
-    nested dict; with `indent`, json's encoder is pure Python and takes
-    seconds on large `hit` outputs.  Each column's zero-cell text, its key and
-    "0.0", is built once.  A row copies that list, overwrites the cells that
-    are not +0.0 (`-0.0` included) with `float.__repr__`, json's text for
-    every finite float, and is written on its own; most cells are zero, and
-    this is faster than running json's C encoder row by row.  The payload
-    and both key lists must be non-empty.
+    column keys to its entries.  Each row takes one line, its key indented
+    by 4, then exactly `json.dumps` of the row: default separators, ASCII
+    escapes and `float.__repr__`, json's text for every finite float.  The
+    rows go out `_ROW_BLOCK` at a time with no Python loop per cell.  Each
+    column's zero-cell text (", " + key + ": 0.0", without the ", " in the
+    first column) is built once.  A block's texts are one numpy object
+    array: per row, its key, its cells and "}".  The cells that are not
+    +0.0 (`-0.0` included) are set by one fancy-indexed assignment of their
+    column's prefix plus their `float.__repr__`, and the block is written as
+    one join.  Most cells are zero: `json.dumps` per row, which formats every
+    cell, took about 0.4 s against 0.14 s on a 4,096 x 237 matrix with
+    133,372 nonzero cells.  The payload and both key lists must be non-empty.
     """
     if rows is not None:
         row_keys, col_keys, matrix = rows
         if not np.all(np.isfinite(matrix)):
             raise ContractViolation("rows: non-finite entry, which JSON cannot hold")
         encode = json.encoder.encode_basestring_ascii
-        col_keys = ["\n      " + encode(key) + ": " for key in col_keys]
-        zero_cells = [key + "0.0" for key in col_keys]
-        cell_rows, cell_cols = np.nonzero((matrix != 0) | np.signbit(matrix))
-        values = matrix[cell_rows, cell_cols].tolist()
-        cols = cell_cols.tolist()
-        ends = np.searchsorted(cell_rows, np.arange(1, len(row_keys) + 1)).tolist()
+        prefixes = np.array([", " + encode(key) + ": " for key in col_keys], dtype=object)
+        prefixes[0] = prefixes[0][2:]
+        zero_cells = prefixes + "0.0"
+        heads = [",\n    " + encode(key) + ": {" for key in row_keys]
+        heads[0] = heads[0][1:]
     with _output(args) as fh:
         if rows is None:
             # Streamed: with `indent`, `json.dumps` holds every chunk until it joins them.
             json.dump(payload, fh, indent=2)
         else:
             fh.write(json.dumps(payload, indent=2)[:-2] + ',\n  "rows": {')
-            start = 0
-            for i, (key, end) in enumerate(zip(row_keys, ends)):
-                cells = zero_cells.copy()
-                for j, value in zip(cols[start:end], values[start:end]):
-                    cells[j] = col_keys[j] + float.__repr__(value)
-                start = end
-                fh.write(f'{"," if i else ""}\n    {encode(key)}: {{{",".join(cells)}\n    }}')
+            for start in range(0, len(heads), _ROW_BLOCK):
+                part = matrix[start:start + _ROW_BLOCK]
+                texts = np.empty((len(part), len(prefixes) + 2), dtype=object)
+                texts[:, 0] = heads[start:start + len(part)]
+                texts[:, 1:-1] = zero_cells
+                texts[:, -1] = "}"
+                i, j = np.nonzero((part != 0) | np.signbit(part))
+                values = list(map(float.__repr__, part[i, j].tolist()))
+                texts[i, j + 1] = prefixes[j] + np.array(values, dtype=object)
+                fh.write("".join(texts.ravel().tolist()))
             fh.write("\n  }\n}")
         fh.write("\n")
 

@@ -205,15 +205,19 @@ def _simplex_rows(V: np.ndarray, mask: np.ndarray, ranks: np.ndarray,
     (1 - cs_rho)/rho.  An unmasked coordinate stays -inf until the clip.
     """
     Vm = np.where(mask, V, -np.inf)
-    s = np.sort(Vm, axis=1)[:, ::-1]
-    cs = s.cumsum(axis=1)
-    rho = (s * ranks > cs - 1.0).sum(axis=1)
-    # rho is 0 only where rounding cancelled a whole row (eta = 1e200, say)
-    # or the row's mask is empty: the shift from its largest coordinate is
-    # then infinite or NaN, the clip (`fmax`, which maps NaN to 0) leaves the
-    # row no positive coordinate, and `_check_supports` reports the failure.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # rho is 0 only where float64 failed the row: rounding cancelled it
+    # (eta = 1e200 or delta = 1e300, say), its sums overflowed or met an
+    # infinite coordinate (delta = 1e308), or its mask is empty.  Its shift
+    # is then -inf whatever the sign of its largest coordinate, the clip
+    # (`fmax`, which maps NaN to 0) leaves it no positive coordinate, and
+    # `_check_supports` reports the failure, so the arithmetic that got
+    # there warns nothing.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.sort(Vm, axis=1)[:, ::-1]
+        cs = s.cumsum(axis=1)
+        rho = (s * ranks > cs - 1.0).sum(axis=1)
         lam = (1.0 - cs[row_ids, np.maximum(rho, 1) - 1]) / rho
+        lam[rho == 0] = -np.inf
         Vm += lam[:, None]
     return np.fmax(Vm, 0.0, out=Vm)
 
@@ -385,8 +389,9 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     """
     check_mixed_profile(game, x)
     noise = rng.standard_normal(sum(game.strategy_counts))[_noise_slots(game)][:, None, :]
-    X = _step_batch(game, _pad(game, x, 1), params, params.delta * noise,
-                    _BlockConstants(game, 1))
+    with np.errstate(over="ignore"):  # as in `_simulate_batch`
+        noise *= params.delta
+    X = _step_batch(game, _pad(game, x, 1), params, noise, _BlockConstants(game, 1))
     _check_supports(X)
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
@@ -451,7 +456,8 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
         raw = np.empty((live.size, steps, sum(game.strategy_counts)))
         for j, r in enumerate(live.tolist()):
             rngs[r].standard_normal(out=raw[j])
-        raw *= params.delta
+        with np.errstate(over="ignore"):  # `_simplex_rows` takes infinite draws
+            raw *= params.delta
         block = raw[:, :, slots].transpose(1, 2, 0, 3)
         del raw
         consts = _BlockConstants(game, live.size)

@@ -143,14 +143,33 @@ def test_oracle_eps_must_be_finite(tmp_path, capsys, fig3_game, eps):
     assert err.startswith("INPUT_ERROR: eps")
 
 
-def test_hit_output_is_indented_json(tmp_path, capsys, fig3_game):
+def assert_hit_layout(text: str, payload: dict) -> None:
+    """`text` is `hit`'s layout of `payload`, whose last member is "rows".
+
+    It loads equal to `payload`; up to the "rows" key, its bytes are json's
+    indent-2 text of the other members; then each row takes one line, its
+    key indented by 4, then exactly `json.dumps` of the row; the closing
+    braces follow at indent 2 and 0, with a final newline.
+    """
+    assert json.loads(text) == payload
+    head = {key: value for key, value in payload.items() if key != "rows"}
+    head_text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": {\n'
+    assert text[:len(head_text)] == head_text
+    rows = list(payload["rows"].items())
+    lines = text[len(head_text):].split("\n")
+    assert lines[len(rows):] == ["  }", "}", ""]
+    for i, (key, row) in enumerate(rows):
+        comma = "," if i < len(rows) - 1 else ""
+        assert lines[i] == f"    {json.dumps(key)}: {json.dumps(row)}{comma}"
+
+
+def test_hit_output_has_one_line_per_row(tmp_path, capsys, fig3_game):
     gpath = write_game(tmp_path, fig3_game)
     out_path = tmp_path / "hit.json"
     code, stdout, _ = run_cli(capsys, "hit", gpath)
     assert code == 0
     assert run_cli(capsys, "hit", gpath, "-o", str(out_path)) == (0, "", "")
-    for text in (stdout, out_path.read_text()):
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert_hit_layout(stdout, old_hit_payload(fig3_game))
     assert out_path.read_text() == stdout
 
 
@@ -188,12 +207,12 @@ def test_hit_text_is_json_dumps_of_nested_rows(tmp_path, capsys, fig3_game, eps)
         gpath = write_game(tmp_path, game)
         out_path = tmp_path / "hit.json"
         old = old_hit_payload(game, eps)
-        want = json.dumps(old, indent=2) + "\n"
         flags = [] if eps is None else ["--oracle-eps", eps]
         code, stdout, _ = run_cli(capsys, "hit", gpath, *flags)
-        assert (code, stdout) == (0, want)
+        assert code == 0
+        assert_hit_layout(stdout, old)
         assert run_cli(capsys, "hit", gpath, *flags, "-o", str(out_path)) == (0, "", "")
-        assert out_path.read_text() == want
+        assert out_path.read_text() == stdout
         shapes.add((min(old["rounds"], 1), min(len(old["sinks"]), 2)))
     if eps is None:  # the oracle runs no collapse rounds
         assert (1, 2) in shapes
@@ -206,7 +225,7 @@ def test_emit_json_rows_match_json_dumps(capsys):
     payload = {"head": [1, {"x": None}], "s": "t"}
     _emit_json(argparse.Namespace(output=None), payload, rows=(row_keys, col_keys, matrix))
     rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix.tolist())}
-    assert capsys.readouterr().out == json.dumps({**payload, "rows": rows}, indent=2) + "\n"
+    assert_hit_layout(capsys.readouterr().out, {**payload, "rows": rows})
 
 
 @pytest.mark.parametrize("matrix", [
@@ -226,7 +245,7 @@ def test_emit_json_sparse_rows_match_json_dumps(capsys, matrix):
     _emit_json(argparse.Namespace(output=None), payload,
                rows=(row_keys, col_keys, np.array(matrix)))
     rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix)}
-    assert capsys.readouterr().out == json.dumps({**payload, "rows": rows}, indent=2) + "\n"
+    assert_hit_layout(capsys.readouterr().out, {**payload, "rows": rows})
 
 
 class WriteRecorder:
@@ -237,23 +256,49 @@ class WriteRecorder:
         self.writes.append(text)
 
 
-def test_emit_json_writes_one_row_at_a_time(monkeypatch):
-    matrix = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.2, 0.3, 0.5]])
-    row_keys, col_keys = [f"({i})" for i in range(4)], ["sink_0", "sink_1", "sink_2"]
+def record_emit(monkeypatch, row_keys, col_keys, matrix) -> tuple[list, dict]:
+    """The writes of `_emit_json` of `matrix` under the payload
+    {"command": "hit"}, and that payload with its rows as a nested dict."""
     recorder = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", recorder)
     _emit_json(argparse.Namespace(output=None), {"command": "hit"},
-               rows=(row_keys, col_keys, matrix))
-    rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, matrix.tolist())}
-    # The payload head, one write per row, the closing braces, the final newline.
-    head, *row_writes, tail, newline = recorder.writes
-    assert head + "".join(row_writes) + tail + newline == json.dumps(
-        {"command": "hit", "rows": rows}, indent=2) + "\n"
-    assert len(row_writes) == len(row_keys)
-    for i, (key, row) in enumerate(rows.items()):
-        # This row's text at depth 2: json's indent-2 text of {key: row}, shifted by two.
-        text = json.dumps({key: row}, indent=2)[1:-2].replace("\n", "\n  ")
-        assert row_writes[i] == ("," if i else "") + text
+               rows=(row_keys, col_keys, np.asarray(matrix)))
+    rows = {k: dict(zip(col_keys, row)) for k, row in zip(row_keys, np.asarray(matrix).tolist())}
+    return recorder.writes, {"command": "hit", "rows": rows}
+
+
+def test_emit_json_writes_one_block_at_a_time(monkeypatch):
+    matrix = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.2, 0.3, 0.5]])
+    row_keys, col_keys = [f"({i})" for i in range(4)], ["sink_0", "sink_1", "sink_2"]
+    monkeypatch.setattr(sinklimit.cli, "_ROW_BLOCK", 3)
+    writes, payload = record_emit(monkeypatch, row_keys, col_keys, matrix)
+    # The payload head, one write per block of 3 rows, the closing braces,
+    # the final newline.
+    head, *block_writes, tail, newline = writes
+    assert_hit_layout(head + "".join(block_writes) + tail + newline, payload)
+    lines = [f"\n    {json.dumps(k)}: {json.dumps(row)}" for k, row in payload["rows"].items()]
+    assert block_writes == [",".join(lines[:3]), "," + lines[3]]
+
+
+def test_emit_json_rows_across_block_edges(monkeypatch):
+    # Two full writer blocks and a partial one.  The rows on each side of the
+    # first block edge have their first and last cells set; the first block
+    # starts with an all-zero row, the second ends with one, and the third
+    # has no nonzero cell at all.
+    block = sinklimit.cli._ROW_BLOCK
+    matrix = np.zeros((2 * block + block // 2, 5))
+    matrix[block // 2] = [0.25, -0.0, 0.0, 5e-324, 0.75 - 5e-324]
+    matrix[block - 1] = [0.5, 0.0, 0.0, 0.0, 0.5]
+    matrix[block] = [0.1 + 0.2, 0.0, 2.5e300, 0.0, 1 / 3]
+    matrix[block + 1, 4] = 1.0
+    row_keys = [f"({i},\u00e9)" for i in range(len(matrix))]
+    col_keys = [f"sink_{j}" for j in range(5)]
+    writes, payload = record_emit(monkeypatch, row_keys, col_keys, matrix)
+    assert len(writes) == 1 + 3 + 2
+    assert_hit_layout("".join(writes), payload)
+    # Each block write holds exactly its rows' lines.
+    for b, text in enumerate(writes[1:4]):
+        assert text.count("\n") == len(matrix[b * block:(b + 1) * block])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -403,6 +448,24 @@ def test_step_too_large_for_float64_writes_one_stderr_line(tmp_path, fig2_game):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("NUMERIC_ERROR: eta/delta: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("delta", ["1e300", "1e308"])
+def test_noise_too_large_for_float64_exits_three(tmp_path, capsys, delta):
+    # delta = 1e308 overflows the scaled noise and the projection's sums;
+    # delta = 1e300 leaves every coordinate of a row far below -1, so that
+    # rounding cancels the row.  Either run ends in the one diagnostic, in
+    # process (where a RuntimeWarning is an error) and in a fresh
+    # interpreter (where numpy would print it).
+    argv = ["limit", write_game(tmp_path, random_game(1, 2, (3, 3))), "uniform", "--seed", "1",
+            "--delta", delta, "--max-samples", "2", "--runs-per-sample", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "sinklimit", *argv],
+                          capture_output=True, text=True)
+    for code, out, err in [(code, out, err), (proc.returncode, proc.stdout, proc.stderr)]:
+        assert (code, out) == (3, "")
+        assert err.startswith("NUMERIC_ERROR: eta/delta: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["limit", "simulate"])

@@ -228,7 +228,7 @@ def test_projection_cancelled_by_rounding_raises(fig2_game):
         noisy_replicator_step(padded, x, ReplicatorParams(eta=1e200), np.random.default_rng(0))
 
 
-def test_projection_of_a_cancelled_or_empty_row_is_zero():
+def test_projection_of_a_cancelled_or_empty_row_is_zero(fig2_game):
     """A row whose largest coordinate swamps 1, so that rounding cancels it,
     and a row with an empty mask both project to zeros, pads included: no
     inf or NaN enters the state, and `_check_supports` sees the row empty."""
@@ -236,6 +236,23 @@ def test_projection_of_a_cancelled_or_empty_row_is_zero():
     mask = np.array([[True, True, False], [False, False, False], [True, True, False]])
     X = sinklimit.dynamics._project_rows(V, mask, 1e-9, np.arange(1, 4), np.arange(3))
     np.testing.assert_array_equal(X, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    # So do rows whose every coordinate lies far below -1 (1 minus the
+    # largest is positive, and over rho = 0 it would be a +inf shift that
+    # the clip keeps), rows whose sums overflow, and rows with an infinite
+    # coordinate; a -inf coordinate alone just gets 0.
+    V = np.array([[-1e300, -2e300, 0.0], [1.5e308, 1e308, 0.0], [np.inf, 0.5, 0.0],
+                  [-np.inf, 0.5, 0.25]])
+    mask = np.array([[True, True, False], [True, True, False], [True, True, False],
+                     [True, True, True]])
+    X = sinklimit.dynamics._project_rows(V, mask, 1e-9, np.arange(1, 4), np.arange(4))
+    np.testing.assert_array_equal(X, [[0.0] * 3] * 3 + [[0.0, 0.625, 0.375]])
+    with pytest.raises(SolverConvergenceError, match="rounding"):
+        project_to_simplex(np.array([-1e300, -2e300]))
+    # A replicator step whose scaled noise overflows fails by name, warning nothing.
+    x = tuple(np.full(3, 1 / 3) for _ in range(2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(SolverConvergenceError, match="eta/delta"):
+        noisy_replicator_step(fig2_game, x, ReplicatorParams(delta=1e308), rng)
 
 
 # -- replicator step -------------------------------------------------------------
