@@ -354,7 +354,9 @@ def _step_batch(game: Game, X, params: ReplicatorParams, noise_row: np.ndarray,
     once.  `consts` is what the steps of a noise block share, built once per
     block for the batch's run count.  Per step: each run's best response on
     its support from `_best_responses`, `eta` added there through flat
-    indices, the noise added, and the projection with extinction."""
+    indices, the noise added, and the projection with extinction.  Sums
+    past float64 become infinite: the caller ignores their overflow, and
+    `_check_supports` reports the rows the projection then empties."""
     mask = X > 0
     V = X.copy()
     V.reshape(-1)[consts.cells + _best_responses(X, mask, consts)] += params.eta
@@ -391,7 +393,7 @@ def noisy_replicator_step(game: Game, x, params: ReplicatorParams, rng):
     noise = rng.standard_normal(sum(game.strategy_counts))[_noise_slots(game)][:, None, :]
     with np.errstate(over="ignore"):  # as in `_simulate_batch`
         noise *= params.delta
-    X = _step_batch(game, _pad(game, x, 1), params, noise, _BlockConstants(game, 1))
+        X = _step_batch(game, _pad(game, x, 1), params, noise, _BlockConstants(game, 1))
     _check_supports(X)
     return tuple(X[i, 0, :s].copy() for i, s in enumerate(game.strategy_counts))
 
@@ -456,13 +458,15 @@ def _simulate_batch(game: Game, x0, sink_of: np.ndarray, params: ReplicatorParam
         raw = np.empty((live.size, steps, sum(game.strategy_counts)))
         for j, r in enumerate(live.tolist()):
             rngs[r].standard_normal(out=raw[j])
-        with np.errstate(over="ignore"):  # `_simplex_rows` takes infinite draws
+        # `_simplex_rows` takes infinite draws, and the step's infinite sums
+        # of `eta` and a draw; one errstate per block, not per step.
+        with np.errstate(over="ignore"):
             raw *= params.delta
-        block = raw[:, :, slots].transpose(1, 2, 0, 3)
-        del raw
-        consts = _BlockConstants(game, live.size)
-        for t in range(steps):
-            X = _step_batch(game, X, params, block[t], consts)
+            block = raw[:, :, slots].transpose(1, 2, 0, 3)
+            del raw
+            consts = _BlockConstants(game, live.size)
+            for t in range(steps):
+                X = _step_batch(game, X, params, block[t], consts)
         del block
         sink = sink_of[strides @ X.argmax(axis=2)]
         hit = _one_sink_faces(game, X, sink, sink_of)

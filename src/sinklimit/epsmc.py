@@ -221,26 +221,12 @@ def delete_epsilon_edges(chain: EpsilonMC, orders: np.ndarray) -> EpsilonMC:
 
 def _hitting_rows(chain: EpsilonMC, nodes: np.ndarray, result) -> np.ndarray:
     """Hitting rows of every original node from a solve over live `nodes`,
-    gathered straight into one (nodes x sinks) array: a node whose live node
-    is transient takes its row of `result.hitting`, one whose live node is
-    absorbing the unit row of its column."""
-    k = result.absorbing.size
-    pos = np.zeros(chain.num_original, dtype=np.intp)
-    pos[nodes] = np.arange(len(nodes))
-    live = pos[chain.origin]  # each node's live node, as a position in `nodes`
-    hitting_row = np.full(len(nodes), -1)
-    hitting_row[result.transient] = np.arange(result.transient.size)
-    column = np.zeros(len(nodes), dtype=np.intp)
-    column[result.absorbing] = np.arange(k)
-    hitting_row = hitting_row[live]
-    absorbed = np.flatnonzero(hitting_row < 0)
-    if result.transient.size:
-        rows = result.hitting[np.maximum(hitting_row, 0)]
-        rows[absorbed] = 0.0
-    else:
-        rows = np.zeros((live.size, k))
-    rows[absorbed, column[live[absorbed]]] = 1.0
-    return rows
+    after the collapse rounds or at the oracle's epsilon: one gather from
+    ``result.rows``, which is ``[H; I]``, of each node's live node's row, a
+    hitting row where that is transient and a unit row where it is absorbing."""
+    row = np.zeros(chain.num_original, dtype=np.intp)  # each live node's row of ``[H; I]``
+    row[nodes[np.concatenate([result.transient, result.absorbing])]] = np.arange(len(nodes))
+    return result.rows[row[chain.origin]]
 
 
 def limit_hitting_from_cmc(cmc: EpsilonMC, sinks: list[list[int]]) -> HittingMatrix:

@@ -69,17 +69,24 @@ class StochasticMatrix:
 class AbsorptionResult:
     """Hitting probabilities of an absorbing chain.
 
-    `hitting[i, j]` is the probability that the chain started at transient
-    state `transient[i]` is absorbed at state `absorbing[j]`; `residual` is
-    the max-abs residual of the linear system and `bound_excess` how far any
-    entry fell outside [0, 1] before clamping.
+    `rows` is ``[H; I]``: the hitting rows of the states `transient`, then
+    the unit rows of the states `absorbing`, so `rows[i, j]` is the
+    probability that the chain started at state
+    ``concatenate([transient, absorbing])[i]`` is absorbed at `absorbing[j]`.
+    `residual` is the max-abs residual of the linear system and
+    `bound_excess` how far any entry fell outside [0, 1] before clamping.
     """
 
-    hitting: np.ndarray
+    rows: np.ndarray
     transient: np.ndarray
     absorbing: np.ndarray
     residual: float
     bound_excess: float
+
+    @property
+    def hitting(self) -> np.ndarray:
+        """``H``, the transient rows of `rows`, as a view."""
+        return self.rows[: self.transient.size]
 
 
 def _solve_block(A, b: np.ndarray, singular: str, **options) -> np.ndarray:
@@ -180,12 +187,14 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     Solves ``(I - Q) H = R``, where Q is the transient-to-transient block and
     R the transient-to-absorbing block, along the condensation of Q: one
     Pearce search finds its components and their levels, and `_level_solve`
-    solves them level by level.  The same search checks that no closed class
-    of transient states strands the chain.  The result must then pass a 1e-9
-    residual check, a 1e-9 row-sum check and a 1e-9 bound check; entries are
-    clamped to [0, 1] only after these, so pathologies surface before
-    cosmetic repair.  A singular block, or a solve that cannot allocate its
-    memory, raises `SolverConvergenceError`.
+    solves them level by level into ``[H; I]``, which the result keeps as
+    its `rows`.  The same search checks that no closed class of transient
+    states strands the chain.  The result must then pass a 1e-9 residual
+    check, a 1e-9 row-sum check and a 1e-9 bound check; entries are clamped
+    to [0, 1] only after these, so pathologies surface before cosmetic
+    repair.  A singular block, or a solve that cannot allocate its memory,
+    raises `SolverConvergenceError`.  A chain without transient states has
+    ``[H; I] = I``.
 
     Exact zeros hold by construction.  Every state of a component reaches
     the same absorbing states, and a component's right-hand sides are sums
@@ -207,9 +216,7 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     if absorbing.size == 0:
         raise SolverConvergenceError("chain has no absorbing state")
     if transient.size == 0:
-        return AbsorptionResult(
-            np.zeros((0, absorbing.size)), transient, absorbing, 0.0, 0.0
-        )
+        return AbsorptionResult(np.eye(absorbing.size), transient, absorbing, 0.0, 0.0)
 
     csr = chain.matrix.tocsr()
     t, k = transient.size, absorbing.size
@@ -255,8 +262,8 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
         raise SolverConvergenceError(
             f"hitting probability outside [0, 1] by {bound_excess}"
         )
-    return AbsorptionResult(np.clip(H, 0.0, 1.0, out=H), transient, absorbing, residual,
-                            bound_excess)
+    np.clip(H, 0.0, 1.0, out=H)  # H is a view, so the clip reaches HI
+    return AbsorptionResult(HI, transient, absorbing, residual, bound_excess)
 
 
 def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
@@ -266,25 +273,22 @@ def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
 
     `numbers` and `levels` are each transient state's component number and
     level.  Taken by level, then component, each level and each component
-    is one contiguous range of states.  A level's edges that leave their
-    component reach lower levels or absorbing states only, whose rows of
-    ``[H; I]`` are final: one sparse product gives the level's right-hand
-    sides ``B = [Q_out R] [H; I]``.  A single state's row is then
-    ``B / (1 - q)``, with ``q`` its self-loop, and each larger component
-    solves ``(I - Q_in) H = B`` by `_solve_block`.
+    is one contiguous range of states.  ``[H; I]`` starts with ``H = 0``
+    and each level's rows are written after those of the levels below, so
+    one sparse product of a level's rows of ``[Q R]`` gives its right-hand
+    sides ``B = [Q_out R] [H; I]``: its in-component edges read rows that
+    are still zero.  With the column indices sorted, each sum adds the
+    leaving edges in column order, as a product over them alone would.  A
+    single state's row is then ``B / (1 - q)``, with ``q`` its self-loop,
+    and each larger component solves ``(I - Q_in) H = B`` by `_solve_block`,
+    ``Q_in`` cut from the same rows.
     """
     t, k = numbers.size, rows.shape[1] - numbers.size
     order = np.lexsort((numbers, levels))
-    coo = rows[order].tocoo()  # rows taken in that order, columns as in `rows`
-    inner = coo.col < t
-    inner[inner] = numbers[order[coo.row[inner]]] == numbers[coo.col[inner]]
+    ordered = rows[order]  # rows taken in that order, columns as in `rows`
+    ordered.sort_indices()
+    scale = 1.0 - rows.diagonal()[order]
     numbers, levels = numbers[order], levels[order]
-    crossing, inside = (
-        scipy.sparse.csr_matrix((coo.data[m], (coo.row[m], coo.col[m])), shape=rows.shape)
-        for m in (~inner, inner)
-    )
-    loops = inner & (order[coo.row] == coo.col)
-    scale = 1.0 - np.bincount(coo.row[loops], weights=coo.data[loops], minlength=t)
     level_bounds = np.searchsorted(levels, np.arange(levels[-1] + 2))
     starts = np.flatnonzero(np.diff(numbers, prepend=-1))
     ends = np.append(starts[1:], t)
@@ -293,11 +297,10 @@ def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
     for a, b in zip(starts[big].tolist(), ends[big].tolist()):
         blocks[levels[a]].append((a, b))
 
-    # Every row is written at its level, before any higher level reads it.
-    HI = np.empty((t + k, k))
+    HI = np.zeros((t + k, k))
     HI[t:] = np.eye(k)
     for lo, hi, level_blocks in zip(level_bounds[:-1].tolist(), level_bounds[1:].tolist(), blocks):
-        B = crossing[lo:hi] @ HI
+        B = ordered[lo:hi] @ HI
         # 1 - q is 0 only for a state whose other entries are stored zeros:
         # its row is NaN or inf, which the residual check reports.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,7 +311,7 @@ def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
             # SuperLU's diagonal pivots are stable.  COLAMD in symmetric
             # mode was the fastest ordering measured on game chains.
             HI[members] = _solve_block(
-                scipy.sparse.eye(b - a, format="csr") - inside[a:b][:, members],
+                scipy.sparse.eye(b - a, format="csr") - ordered[a:b][:, members],
                 B[a - lo : b - lo], "absorption system is singular", permc_spec="COLAMD",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )

@@ -450,15 +450,20 @@ def test_step_too_large_for_float64_writes_one_stderr_line(tmp_path, fig2_game):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("delta", ["1e300", "1e308"])
-def test_noise_too_large_for_float64_exits_three(tmp_path, capsys, delta):
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--delta", "1e300"], id="1e300"),
+    pytest.param(["--delta", "1e308"], id="1e308"),
+    pytest.param(["--eta", "1e308", "--delta", "1e308"], id="eta-1e308-delta-1e308"),
+])
+def test_noise_too_large_for_float64_exits_three(tmp_path, capsys, flags):
     # delta = 1e308 overflows the scaled noise and the projection's sums;
     # delta = 1e300 leaves every coordinate of a row far below -1, so that
-    # rounding cancels the row.  Either run ends in the one diagnostic, in
-    # process (where a RuntimeWarning is an error) and in a fresh
-    # interpreter (where numpy would print it).
+    # rounding cancels the row; with eta = 1e308 as well, the best response
+    # plus a finite draw overflows in the step itself.  Each run ends in the
+    # one diagnostic, in process (where a RuntimeWarning is an error) and in
+    # a fresh interpreter (where numpy would print it).
     argv = ["limit", write_game(tmp_path, random_game(1, 2, (3, 3))), "uniform", "--seed", "1",
-            "--delta", delta, "--max-samples", "2", "--runs-per-sample", "4"]
+            *flags, "--max-samples", "2", "--runs-per-sample", "4"]
     code, out, err = run_cli(capsys, *argv)
     proc = subprocess.run([sys.executable, "-m", "sinklimit", *argv],
                           capture_output=True, text=True)

@@ -248,11 +248,13 @@ def test_projection_of_a_cancelled_or_empty_row_is_zero(fig2_game):
     np.testing.assert_array_equal(X, [[0.0] * 3] * 3 + [[0.0, 0.625, 0.375]])
     with pytest.raises(SolverConvergenceError, match="rounding"):
         project_to_simplex(np.array([-1e300, -2e300]))
-    # A replicator step whose scaled noise overflows fails by name, warning nothing.
+    # A replicator step whose scaled noise overflows fails by name, warning
+    # nothing; so does one whose eta plus a draw overflows.
     x = tuple(np.full(3, 1 / 3) for _ in range(2))
     rng = np.random.default_rng(0)
-    with pytest.raises(SolverConvergenceError, match="eta/delta"):
-        noisy_replicator_step(fig2_game, x, ReplicatorParams(delta=1e308), rng)
+    for params in (ReplicatorParams(delta=1e308), ReplicatorParams(eta=1e308, delta=1e308)):
+        with pytest.raises(SolverConvergenceError, match="eta/delta"):
+            noisy_replicator_step(fig2_game, x, params, rng)
 
 
 # -- replicator step -------------------------------------------------------------

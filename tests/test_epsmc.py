@@ -23,7 +23,9 @@ from sinklimit import (
 )
 
 from conftest import bimatrix, row
+from test_acceptance import _tie_game_set
 from test_graphs import brute_components, closure
+from test_solver import identical_interest_game, reference_level_solve
 
 FIG3_EXPECTED = np.array(
     [
@@ -557,6 +559,51 @@ def test_fig2_exact_hitting_matrix(fig2_game):
         expected[pid] = [0.75, 0.25]
     np.testing.assert_allclose(hit.probabilities, expected, atol=1e-12)
     assert hit.rounds == 0
+
+
+def reference_hitting_rows(chain, nodes, result):
+    """The gather with a transient-row map, a column map and the unit rows
+    of the absorbed nodes written by hand."""
+    k = result.absorbing.size
+    pos = np.zeros(chain.num_original, dtype=np.intp)
+    pos[nodes] = np.arange(len(nodes))
+    live = pos[chain.origin]
+    hitting_row = np.full(len(nodes), -1)
+    hitting_row[result.transient] = np.arange(result.transient.size)
+    column = np.zeros(len(nodes), dtype=np.intp)
+    column[result.absorbing] = np.arange(k)
+    hitting_row = hitting_row[live]
+    absorbed = np.flatnonzero(hitting_row < 0)
+    if result.transient.size:
+        rows = result.hitting[np.maximum(hitting_row, 0)]
+        rows[absorbed] = 0.0
+    else:
+        rows = np.zeros((live.size, k))
+    rows[absorbed, column[live[absorbed]]] = 1.0
+    return rows
+
+
+def test_hitting_rows_match_the_hand_built_unit_rows_bit_for_bit(monkeypatch):
+    # The reference run takes the level solve with the crossing/inside split
+    # and the gather with hand-built unit rows; the tie games include final
+    # chains with no transient state and collapse rounds.
+    games = _tie_game_set()
+    results = {}
+
+    def run(label):
+        results[label] = (
+            [limit_hitting_probabilities(g).probabilities for g in games]
+            + [limit_hitting_probabilities(identical_interest_game(9)).probabilities]
+            + [oracle_hitting_matrix(g, 1e-8).probabilities for g in games]
+        )
+
+    run("new")
+    monkeypatch.setattr("sinklimit.solver._level_solve", reference_level_solve)
+    monkeypatch.setattr("sinklimit.epsmc._hitting_rows", reference_hitting_rows)
+    run("old")
+    assert len(results["new"]) == 2 * len(games) + 1
+    for new, old in zip(results["new"], results["old"]):
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 def test_sink_rows_are_indicators():

@@ -18,6 +18,7 @@ from sinklimit import (
     random_game,
     stationary_distribution,
 )
+from sinklimit import solver
 from sinklimit.solver import _DENSE_MAX, _solve_block, _state_reduction_hitting
 
 from test_acceptance import _tie_game_set
@@ -483,6 +484,109 @@ def test_block_solve_matches_dense_reference(monkeypatch):
         assert np.any(np.diag(Q) > 0)
     assert min(sizes_seen) > 1
     assert min(sizes_seen) <= _DENSE_MAX < max(sizes_seen)
+
+
+def reference_level_solve(rows, numbers: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The level solve with its right-hand sides from a matrix of the
+    leaving edges alone (`crossing`), its blocks from one of the
+    in-component edges (`inside`) and its self-loops tallied apart."""
+    t, k = numbers.size, rows.shape[1] - numbers.size
+    order = np.lexsort((numbers, levels))
+    coo = rows[order].tocoo()
+    inner = coo.col < t
+    inner[inner] = numbers[order[coo.row[inner]]] == numbers[coo.col[inner]]
+    numbers, levels = numbers[order], levels[order]
+    crossing, inside = (
+        sp.csr_matrix((coo.data[m], (coo.row[m], coo.col[m])), shape=rows.shape)
+        for m in (~inner, inner)
+    )
+    loops = inner & (order[coo.row] == coo.col)
+    scale = 1.0 - np.bincount(coo.row[loops], weights=coo.data[loops], minlength=t)
+    level_bounds = np.searchsorted(levels, np.arange(levels[-1] + 2))
+    starts = np.flatnonzero(np.diff(numbers, prepend=-1))
+    ends = np.append(starts[1:], t)
+    big = ends - starts > 1
+    blocks = [[] for _ in range(levels[-1] + 1)]
+    for a, b in zip(starts[big].tolist(), ends[big].tolist()):
+        blocks[levels[a]].append((a, b))
+    HI = np.empty((t + k, k))
+    HI[t:] = np.eye(k)
+    for lo, hi, level_blocks in zip(level_bounds[:-1].tolist(), level_bounds[1:].tolist(), blocks):
+        B = crossing[lo:hi] @ HI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            HI[order[lo:hi]] = B / scale[lo:hi, None]
+        for a, b in level_blocks:
+            members = order[a:b]
+            HI[members] = _solve_block(
+                sp.eye(b - a, format="csr") - inside[a:b][:, members],
+                B[a - lo : b - lo], "absorption system is singular", permc_spec="COLAMD",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+            )
+    return HI
+
+
+def test_level_solve_matches_the_crossing_inside_split_bit_for_bit(monkeypatch):
+    # `[Q R]` comes from `csr[transient][:, perm]`, whose column indices are
+    # not sorted; the one product over a zero-started `[H; I]` must add the
+    # leaving edges in the same order as the split did.
+    rng = np.random.default_rng(11)
+    calls = []
+    level_solve = solver._level_solve
+
+    def spy(rows, numbers, levels):
+        calls.append((rows.has_sorted_indices, np.any(rows.diagonal() > 0)))
+        HI = level_solve(rows, numbers, levels)
+        want = reference_level_solve(rows, numbers, levels)
+        assert HI.shape == want.shape and HI.tobytes() == want.tobytes()
+        return HI
+
+    monkeypatch.setattr("sinklimit.solver._level_solve", spy)
+    for _ in range(8):
+        sizes = rng.choice([1, 1, 1, 2, 3, 9, _DENSE_MAX + 6], size=14).tolist()
+        P, mask = block_chain(rng, sizes)
+        res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask))
+        assert res.rows.shape == (len(P), mask.sum())
+        assert np.array_equal(res.rows[len(res.transient):], np.eye(mask.sum()))
+    assert len(calls) == 8
+    assert not any(sorted_indices for sorted_indices, _ in calls)
+    assert all(self_loops for _, self_loops in calls)
+
+
+def test_clip_reaches_every_row(monkeypatch):
+    # With Q = 0, H = R = [0, 1]; a solve 5e-10 off in each cell passes the
+    # residual, row-sum and bound checks, and only the clip makes it exact.
+    chain = absorbing_chain([[0, 0, 1], [0, 0, 0], [0, 0, 0]], [1, 2])
+    monkeypatch.setattr(
+        "sinklimit.solver._level_solve",
+        lambda rows, numbers, levels: np.array([[-5e-10, 1 + 5e-10], [1.0, 0.0], [0.0, 1.0]]),
+    )
+    res = absorption_probabilities(chain)
+    assert 0 < res.residual <= 1e-9 and 0 < res.bound_excess <= 1e-9
+    assert res.hitting.tolist() == [[0.0, 1.0]]
+    assert res.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_clip_reaches_the_profile_rows(monkeypatch, fig3_game):
+    # A unit hitting row is moved 5e-10 out of [0, 1]; every profile whose
+    # live node it is must read the clipped, exact unit row.
+    level_solve = solver._level_solve
+    moved = []
+
+    def off_by_5e10(rows, numbers, levels):
+        HI = level_solve(rows, numbers, levels)
+        i = next(i for i in range(numbers.size) if (HI[i] == 0).any() and rows[i, i] == 0)
+        HI[i, np.argmin(HI[i])] -= 5e-10
+        HI[i, np.argmax(HI[i])] += 5e-10
+        moved.append(HI[i].copy())
+        return HI
+
+    exact = limit_hitting_probabilities(fig3_game)
+    monkeypatch.setattr("sinklimit.solver._level_solve", off_by_5e10)
+    h = limit_hitting_probabilities(fig3_game)
+    assert sorted(moved[0].tolist()) == [-5e-10, 1 + 5e-10]
+    assert 0 < h.residual <= 1e-9 and 0 < h.bound_excess <= 1e-9
+    assert h.probabilities.min() == 0.0 and h.probabilities.max() == 1.0
+    assert h.probabilities.tobytes() == exact.probabilities.tobytes()
 
 
 def reachability(P: np.ndarray) -> np.ndarray:
