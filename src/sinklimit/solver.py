@@ -3,15 +3,14 @@
 An absorbing chain is solved block by block along the condensation of its
 transient states (Stewart 1994): level by level, from the components next
 to absorption up, each component's hitting rows follow from those of the
-levels below.  A single state needs one division; a larger component goes
-through `_solve_block`, which solves small blocks dense with numpy and
-large ones by sparse LU (SuperLU through ``scipy.sparse.linalg.splu``).
-Residual and invariant checks then raise instead of returning a doubtful
-answer.  The almost-linear directed-Laplacian solvers are deliberately out
-of scope; a direct solve is exact up to rounding and has no convergence
-rate to fail on slowly mixing chains.  The epsilon oracle alone uses a
-subtraction-free state reduction, in place on one dense matrix, instead.
-All functions are pure and reentrant.
+levels below.  Every absorbing solve takes this one path with one of two
+block kernels: `_solve_block`, dense with numpy for small blocks and sparse
+LU (SuperLU through ``scipy.sparse.linalg.splu``) for large ones, or, for
+the epsilon oracle, the subtraction-free `_state_reduction`.  Residual and
+invariant checks then raise instead of returning a doubtful answer.  The
+almost-linear directed-Laplacian solvers are deliberately out of scope; a
+direct solve is exact up to rounding and has no convergence rate to fail on
+slowly mixing chains.  All functions are pure and reentrant.
 
 This module imports the `scipy` package alone and spells every call
 ``scipy.sparse.<name>``, so scipy loads each submodule when a call first
@@ -27,7 +26,7 @@ import scipy
 
 from .errors import SolverConvergenceError
 from .game import EpsilonMC
-from .scc import component_numbers, condensation_levels
+from .scc import _edges, component_numbers, condensation_levels
 
 # Blocks of up to this many states are solved dense.  With 2 to 64
 # right-hand sides, numpy's LU beat SuperLU on random blocks of every size
@@ -202,13 +201,12 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     column of an absorbing state that a component cannot reach is exactly
     zero, and so is its solution, whatever the block solve pivots on.
 
-    With ``stable=True`` the system is solved by state-reduction elimination
-    instead (Grassmann, Taksar and Heyman 1985), in place on one dense matrix
-    and only at its nonzero entries: each pivot ``1 - p_kk`` is the sum of
-    the off-diagonal row entries, so there is no cancellation and the result
-    stays componentwise accurate even when escape probabilities are tiny, as
-    happens when a vanishing-weight chain is instantiated at a very small
-    epsilon.  Only the epsilon oracle uses it.
+    `stable` chooses only the block kernel: state reduction (Grassmann,
+    Taksar and Heyman 1985) instead of ``1 - q`` and LU.  Every pivot is
+    then a sum of nonnegative terms, so there is no cancellation and the
+    result stays componentwise accurate even when escape probabilities are
+    tiny, as happens when a vanishing-weight chain is instantiated at a very
+    small epsilon.  Only the epsilon oracle uses it.
     """
     mask = chain.absorbing
     absorbing = np.flatnonzero(mask)
@@ -218,9 +216,8 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
     if transient.size == 0:
         return AbsorptionResult(np.eye(absorbing.size), transient, absorbing, 0.0, 0.0)
 
-    csr = chain.matrix.tocsr()
-    t, k = transient.size, absorbing.size
-    rows = csr[transient][:, np.concatenate([transient, absorbing])]  # [Q R]
+    t = transient.size
+    rows = chain.matrix.tocsr()[transient][:, np.concatenate([transient, absorbing])]  # [Q R]
     Q = rows[:, :t]
     numbers = component_numbers(Q)
     levels = condensation_levels(Q, numbers)
@@ -232,14 +229,7 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
             f"transient state {transient[np.argmax(closed)]} has no path to an absorbing state"
         )
 
-    if stable:
-        try:
-            HI = np.concatenate([_state_reduction_hitting(csr, mask), np.eye(k)])
-        except MemoryError as exc:
-            msg = f"state reduction of {mask.size} states could not allocate its memory"
-            raise SolverConvergenceError(f"{msg} ({exc})") from exc
-    else:
-        HI = _level_solve(rows, numbers, levels)
+    HI = _level_solve(rows, numbers, levels, stable)
     H = HI[:t]
 
     # NaN fails every comparison, so each check is negated; an inf in H
@@ -267,7 +257,7 @@ def absorption_probabilities(chain: StochasticMatrix, stable: bool = False) -> A
 
 
 def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
-                 levels: np.ndarray) -> np.ndarray:
+                 levels: np.ndarray, stable: bool) -> np.ndarray:
     """``[H; I]`` for the hitting rows ``H = (I - Q)^{-1} R``, where
     ``rows = [Q R]``, solved along the condensation of Q, level by level.
 
@@ -281,7 +271,8 @@ def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
     leaving edges in column order, as a product over them alone would.  A
     single state's row is then ``B / (1 - q)``, with ``q`` its self-loop,
     and each larger component solves ``(I - Q_in) H = B`` by `_solve_block`,
-    ``Q_in`` cut from the same rows.
+    ``Q_in`` cut from the same rows; with `stable`, a single state divides
+    ``B`` by its row sum, its exit mass, and a component goes to `_state_reduction`.
     """
     t, k = numbers.size, rows.shape[1] - numbers.size
     order = np.lexsort((numbers, levels))
@@ -301,52 +292,58 @@ def _level_solve(rows: "scipy.sparse.csr_matrix", numbers: np.ndarray,
     HI[t:] = np.eye(k)
     for lo, hi, level_blocks in zip(level_bounds[:-1].tolist(), level_bounds[1:].tolist(), blocks):
         B = ordered[lo:hi] @ HI
-        # 1 - q is 0 only for a state whose other entries are stored zeros:
-        # its row is NaN or inf, which the residual check reports.
+        divisor = B.sum(axis=1) if stable else scale[lo:hi]
+        # A divisor is 0 only for a state whose other entries are stored
+        # zeros: its row is NaN or inf, which the residual check reports.
         with np.errstate(divide="ignore", invalid="ignore"):
-            HI[order[lo:hi]] = B / scale[lo:hi, None]
+            HI[order[lo:hi]] = B / divisor[:, None]
         for a, b in level_blocks:
             members = order[a:b]
+            inside = ordered[a:b][:, members]
+            if stable:
+                HI[members] = _state_reduction(inside, B[a - lo : b - lo])
+                continue
             # I - Q is a nonsingular M-matrix with weakly dominant rows, so
             # SuperLU's diagonal pivots are stable.  COLAMD in symmetric
             # mode was the fastest ordering measured on game chains.
             HI[members] = _solve_block(
-                scipy.sparse.eye(b - a, format="csr") - ordered[a:b][:, members],
+                scipy.sparse.eye(b - a, format="csr") - inside,
                 B[a - lo : b - lo], "absorption system is singular", permc_spec="COLAMD",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
     return HI
 
 
-def _state_reduction_hitting(csr: "scipy.sparse.csr_matrix", mask: np.ndarray) -> np.ndarray:
-    """Censoring elimination of the transient states, then back-substitution.
+def _state_reduction(inside: "scipy.sparse.csr_matrix", B: np.ndarray) -> np.ndarray:
+    """``(I - Q_in)^{-1} B`` for one component, by censoring elimination of
+    its augmented chain ``W = [Q_in | B]``, then back-substitution.
 
-    Every quantity is a sum or product of nonnegative numbers, which is what
-    makes this accurate on nearly-reducible chains where LU loses digits to
-    cancellation in the pivots.  States are eliminated from the highest index
-    down, in place: a pivot row stays in `W` for the back-substitution, and
-    only its nonzero columns in the live rows entering it are updated.
+    `W` is filled in place from the entries of `inside` (Q_in) and `B`.
+    Every quantity is a sum or product of nonnegative numbers, and each
+    pivot is its row's sum without its self-loop, which keeps this accurate
+    where exits are tiny and LU loses digits to cancellation.  States are
+    eliminated from the last down, in place: a pivot row stays in `W` for
+    the back-substitution, and only its nonzero columns in the live rows
+    entering it are updated.
     """
-    W = csr.toarray()
-    np.fill_diagonal(W, 0.0)  # self-loops never affect absorption
-    transient = np.flatnonzero(~mask)
-    absorbing = np.flatnonzero(mask)
-    for k in transient[::-1]:
-        W[k, k] = 0.0  # updates can add a self-loop; eliminated columns are zero already
-        denom = W[k].sum()
-        if denom <= 0.0:
-            raise SolverConvergenceError(
-                f"transient state {k} has no path to an absorbing state"
-            )
-        W[k] /= denom
-        rows, cols = np.flatnonzero(W[:k, k]), np.flatnonzero(W[k])  # live rows are below k
-        W[np.ix_(rows, cols)] += np.outer(W[rows, k], W[k, cols])
-        W[rows, k] = 0.0
-    H = np.zeros((mask.size, absorbing.size))
-    H[absorbing, np.arange(absorbing.size)] = 1.0
-    for k in transient:
-        H[k] = W[k] @ H
-    return H[transient]
+    m = inside.shape[0]
+    try:
+        W = np.zeros((m, m + B.shape[1]))
+        np.add.at(W, _edges(inside), inside.data)
+        W[:, m:] = B
+        for i in range(m - 1, -1, -1):
+            W[i, i] = 0.0  # a self-loop never affects absorption
+            W[i] /= W[i].sum()  # eliminated columns are zero already
+            live, cols = np.flatnonzero(W[:i, i]), np.flatnonzero(W[i])  # live rows are below i
+            W[np.ix_(live, cols)] += np.outer(W[live, i], W[i, cols])
+            W[live, i] = 0.0
+        for i in range(1, m):  # row i's transient entries point to rows already solved
+            W[i, m:] += W[i, :i] @ W[:i, m:]
+    except MemoryError as exc:
+        raise SolverConvergenceError(
+            f"state reduction of {m} states could not allocate its memory ({exc!r})"
+        ) from exc
+    return W[:, m:]
 
 
 def chain_matrix(chain: EpsilonMC, nodes: np.ndarray) -> StochasticMatrix:

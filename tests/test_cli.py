@@ -1001,15 +1001,17 @@ def test_hit_with_a_large_block_loads_sparse_linalg(tmp_path, capsys):
 
 def test_state_reduction_allocation_failure_exits_three(tmp_path, capsys, fig3_game,
                                                        monkeypatch):
-    def out_of_memory(csr, mask):
+    # np.outer, the update of each elimination step, stands for every
+    # allocation of the oracle's block kernel.
+    def out_of_memory(*args):
         raise MemoryError("Unable to allocate 1.84 GiB for an array")
 
-    monkeypatch.setattr(sinklimit.solver, "_state_reduction_hitting", out_of_memory)
+    monkeypatch.setattr(np, "outer", out_of_memory)
     code, out, err = run_cli(capsys, "hit", write_game(tmp_path, fig3_game),
                              "--oracle-eps", "1e-8")
     assert (code, out) == (3, "")
-    assert err == ("NUMERIC_ERROR: state reduction of 9 states could not allocate its memory"
-                   " (Unable to allocate 1.84 GiB for an array)\n")
+    assert err == ("NUMERIC_ERROR: state reduction of 2 states could not allocate its memory"
+                   " (MemoryError('Unable to allocate 1.84 GiB for an array'))\n")
 
 
 def test_module_entry_point(tmp_path, fig2_game):

@@ -962,13 +962,13 @@ def test_estimate_consistent_with_exact_on_pinned_no_tie_games():
         assert tv <= 0.05, f"game {seed},{p},{counts}: TV {tv}"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a run frozen at a pure profile "
-                   "outside every sink never follows the profile chain out of it")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a run whose supports shrink to a "
+                   "face with no sink profile settles as -1 and never follows the profile chain")
 @pytest.mark.parametrize("seed", [1, 5])
 def test_estimate_matches_exact_on_unpicked_games(seed):
     # The pinned seeds above were chosen to agree.  Here exact reads 1.0 for
-    # the one sink, while the simulation leaves half (seed 1) or three
-    # quarters (seed 5) of its runs frozen outside it.
+    # the one sink, while the face rule settles half (seed 1) or three
+    # quarters (seed 5) of the runs as -1, in a face with no sink profile.
     game = random_game(seed, 2, (3, 3))
     w = np.full(game.num_profiles, 1.0 / game.num_profiles)
     exact = exact_limit_distribution(game, w)

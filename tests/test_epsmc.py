@@ -585,7 +585,8 @@ def reference_hitting_rows(chain, nodes, result):
 
 def test_hitting_rows_match_the_hand_built_unit_rows_bit_for_bit(monkeypatch):
     # The reference run takes the level solve with the crossing/inside split
-    # and the gather with hand-built unit rows; the tie games include final
+    # and the gather with hand-built unit rows, for the limit and, with its
+    # state-reduction kernel, for the oracle; the tie games include final
     # chains with no transient state and collapse rounds.
     games = _tie_game_set()
     results = {}

@@ -1,6 +1,9 @@
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
+from sinklimit import Game
+from sinklimit.game import build_cmc, build_reduced_response_graph
 from sinklimit.scc import (
     CsrPattern,
     component_numbers,
@@ -96,6 +99,41 @@ def test_numpy_patterns_match_scipy_matrices():
             assert leaving(comps, pattern).tolist() == want_leaving.tolist()
             levels = condensation_levels(pattern, component_numbers(pattern))
             assert levels.tolist() == want_levels.tolist()
+
+
+def gray_code_game(players: int) -> Game:
+    """Identical interest, 2 strategies each: every profile pays its rank in
+    the reflected Gray code, so the one improvement path through all
+    profiles climbs rank by rank to the one sink."""
+    profile = np.arange(2**players)
+    rank, shift = profile.copy(), profile >> 1
+    while shift.any():  # the inverse of rank ^ (rank >> 1)
+        rank ^= shift
+        shift >>= 1
+    return Game((2,) * players, (rank.astype(float),) * players)
+
+
+def test_gray_code_components_and_levels():
+    # Both graphs of the Gray-code game are acyclic with a path through all
+    # 4,096 profiles: 4,096 components and levels up to 4,095.
+    game = gray_code_game(12)
+    cmc = build_cmc(game)
+    reduced = build_reduced_response_graph(game)
+    graphs = [sp.csr_matrix((np.ones(reduced.nnz), reduced.indices, reduced.indptr),
+                            shape=reduced.shape), (cmc.reg + cmc.eps).tocsr()]
+    for graph in graphs:
+        count, labels = connected_components(graph, directed=True, connection="strong")
+        numbers = component_numbers(graph)
+        assert count == np.unique(numbers).size == 4096
+        assert np.unique(np.c_[numbers, labels], axis=0).shape[0] == count
+        # Levels obey their recurrence: 0 where no edge leaves a component,
+        # else one more than the highest level an edge leaves to.
+        levels = condensation_levels(graph, numbers)
+        coo = graph.tocoo()
+        cross = numbers[coo.row] != numbers[coo.col]
+        want = np.zeros(graph.shape[0], dtype=np.int64)
+        np.maximum.at(want, coo.row[cross], levels[coo.col[cross]] + 1)
+        assert np.array_equal(levels, want) and levels.max() == 4095
 
 
 def test_long_cycle_is_one_component():

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -19,9 +20,10 @@ from sinklimit import (
     stationary_distribution,
 )
 from sinklimit import solver
-from sinklimit.solver import _DENSE_MAX, _solve_block, _state_reduction_hitting
+from sinklimit.solver import _DENSE_MAX, _solve_block
 
 from test_acceptance import _tie_game_set
+from test_graphs import gray_code_game
 
 
 def absorbing_chain(P, absorbing) -> StochasticMatrix:
@@ -486,10 +488,13 @@ def test_block_solve_matches_dense_reference(monkeypatch):
     assert min(sizes_seen) <= _DENSE_MAX < max(sizes_seen)
 
 
-def reference_level_solve(rows, numbers: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def reference_level_solve(rows, numbers: np.ndarray, levels: np.ndarray,
+                          stable: bool = False) -> np.ndarray:
     """The level solve with its right-hand sides from a matrix of the
     leaving edges alone (`crossing`), its blocks from one of the
-    in-component edges (`inside`) and its self-loops tallied apart."""
+    in-component edges (`inside`) and its self-loops tallied apart.  With
+    `stable`, a single state divides by its row sum of `B`, and each block
+    goes to `solver._state_reduction`."""
     t, k = numbers.size, rows.shape[1] - numbers.size
     order = np.lexsort((numbers, levels))
     coo = rows[order].tocoo()
@@ -514,9 +519,12 @@ def reference_level_solve(rows, numbers: np.ndarray, levels: np.ndarray) -> np.n
     for lo, hi, level_blocks in zip(level_bounds[:-1].tolist(), level_bounds[1:].tolist(), blocks):
         B = crossing[lo:hi] @ HI
         with np.errstate(divide="ignore", invalid="ignore"):
-            HI[order[lo:hi]] = B / scale[lo:hi, None]
+            HI[order[lo:hi]] = B / (B.sum(axis=1)[:, None] if stable else scale[lo:hi, None])
         for a, b in level_blocks:
             members = order[a:b]
+            if stable:
+                HI[members] = solver._state_reduction(inside[a:b][:, members], B[a - lo : b - lo])
+                continue
             HI[members] = _solve_block(
                 sp.eye(b - a, format="csr") - inside[a:b][:, members],
                 B[a - lo : b - lo], "absorption system is singular", permc_spec="COLAMD",
@@ -533,10 +541,10 @@ def test_level_solve_matches_the_crossing_inside_split_bit_for_bit(monkeypatch):
     calls = []
     level_solve = solver._level_solve
 
-    def spy(rows, numbers, levels):
+    def spy(rows, numbers, levels, stable):
         calls.append((rows.has_sorted_indices, np.any(rows.diagonal() > 0)))
-        HI = level_solve(rows, numbers, levels)
-        want = reference_level_solve(rows, numbers, levels)
+        HI = level_solve(rows, numbers, levels, stable)
+        want = reference_level_solve(rows, numbers, levels, stable)
         assert HI.shape == want.shape and HI.tobytes() == want.tobytes()
         return HI
 
@@ -544,10 +552,11 @@ def test_level_solve_matches_the_crossing_inside_split_bit_for_bit(monkeypatch):
     for _ in range(8):
         sizes = rng.choice([1, 1, 1, 2, 3, 9, _DENSE_MAX + 6], size=14).tolist()
         P, mask = block_chain(rng, sizes)
-        res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask))
-        assert res.rows.shape == (len(P), mask.sum())
-        assert np.array_equal(res.rows[len(res.transient):], np.eye(mask.sum()))
-    assert len(calls) == 8
+        for stable in (False, True):
+            res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask), stable)
+            assert res.rows.shape == (len(P), mask.sum())
+            assert np.array_equal(res.rows[len(res.transient):], np.eye(mask.sum()))
+    assert len(calls) == 16
     assert not any(sorted_indices for sorted_indices, _ in calls)
     assert all(self_loops for _, self_loops in calls)
 
@@ -558,7 +567,7 @@ def test_clip_reaches_every_row(monkeypatch):
     chain = absorbing_chain([[0, 0, 1], [0, 0, 0], [0, 0, 0]], [1, 2])
     monkeypatch.setattr(
         "sinklimit.solver._level_solve",
-        lambda rows, numbers, levels: np.array([[-5e-10, 1 + 5e-10], [1.0, 0.0], [0.0, 1.0]]),
+        lambda *args: np.array([[-5e-10, 1 + 5e-10], [1.0, 0.0], [0.0, 1.0]]),
     )
     res = absorption_probabilities(chain)
     assert 0 < res.residual <= 1e-9 and 0 < res.bound_excess <= 1e-9
@@ -572,8 +581,8 @@ def test_clip_reaches_the_profile_rows(monkeypatch, fig3_game):
     level_solve = solver._level_solve
     moved = []
 
-    def off_by_5e10(rows, numbers, levels):
-        HI = level_solve(rows, numbers, levels)
+    def off_by_5e10(rows, numbers, levels, stable):
+        HI = level_solve(rows, numbers, levels, stable)
         i = next(i for i in range(numbers.size) if (HI[i] == 0).any() and rows[i, i] == 0)
         HI[i, np.argmin(HI[i])] -= 5e-10
         HI[i, np.argmax(HI[i])] += 5e-10
@@ -608,47 +617,93 @@ def test_hitting_zeros_are_the_unreachable_sinks():
         if reachability(P)[np.ix_(~mask, mask)].any(axis=1).all():
             chains.append((P, mask))
     for P, mask in chains:
-        res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask))
         unreachable = ~reachability(P)[np.ix_(~mask, mask)]
-        assert np.array_equal(res.hitting == 0.0, unreachable)
+        for stable in (False, True):
+            res = absorption_probabilities(StochasticMatrix(sp.csr_matrix(P), mask), stable)
+            assert np.array_equal(res.hitting == 0.0, unreachable)
 
 
 def test_state_reduction_allocation_failure_raises(monkeypatch):
+    # np.outer, the update of each elimination step, stands for every
+    # allocation of the kernel.
     error = MemoryError("Unable to allocate 1.84 GiB for an array")
 
-    def out_of_memory(csr, mask):
+    def out_of_memory(*args):
         raise error
 
-    monkeypatch.setattr("sinklimit.solver._state_reduction_hitting", out_of_memory)
-    P = np.zeros((3, 3))
-    P[1, [0, 2]] = 0.5
-    with pytest.raises(SolverConvergenceError, match="state reduction of 3 states could not"
-                       " allocate its memory .Unable to allocate 1.84 GiB") as info:
-        absorption_probabilities(absorbing_chain(P, [0, 2]), stable=True)
+    P = np.zeros((4, 4))
+    P[1, [0, 2]] = P[2, [1, 3]] = 0.5  # one block of 2 states
+    chain = absorbing_chain(P, [0, 3])
+    monkeypatch.setattr(np, "outer", out_of_memory)
+    np.testing.assert_allclose(absorption_probabilities(chain).hitting, np.array([[2, 1], [1, 2]]) / 3)
+    with pytest.raises(SolverConvergenceError, match=r"^state reduction of 2 states could not"
+                       r" allocate its memory \(MemoryError\('Unable to allocate 1.84 GiB") as info:
+        absorption_probabilities(chain, stable=True)
     assert info.value.__cause__ is error
+
+
+def test_oracle_blocks_fit_where_the_whole_chain_did_not():
+    # A fresh process with 400 MB of address space and one BLAS thread.  The
+    # 2^13 identical-interest oracle needed a 479 MiB whole-chain matrix;
+    # block by block it takes about 120 MB.  A 12,000-state block does need
+    # 1.07 GiB, and its allocation failure is one SolverConvergenceError.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "import numpy as np, scipy.sparse as sp, sinklimit\n"
+        "u = np.random.default_rng(0).integers(0, 14, 2**13).astype(float)\n"
+        "game = sinklimit.Game((2,) * 13, (u,) * 13)\n"
+        "oracle = sinklimit.oracle_hitting_matrix(game, 1e-8)\n"
+        "hit = sinklimit.limit_hitting_probabilities(game)\n"
+        "print(oracle.sinks == hit.sinks, np.abs(oracle.probabilities - hit.probabilities).max())\n"
+        "n = 12_000\n"
+        "ring = np.arange(n)\n"
+        "P = sp.csr_matrix((np.r_[0.9, np.ones(n - 1), 0.1], (np.r_[ring, 0], np.r_[(ring + 1) % n, n])),"
+        " shape=(n + 1, n + 1))\n"
+        "mask = np.arange(n + 1) == n\n"
+        "try:\n"
+        "    sinklimit.absorption_probabilities(sinklimit.StochasticMatrix(P, mask), stable=True)\n"
+        "except sinklimit.SolverConvergenceError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.splitlines()
+    same_sinks, gap = out[0].split()
+    assert same_sinks == "True" and float(gap) <= 1e-6
+    assert out[1] == ("state reduction of 12000 states could not allocate its memory"
+                      " (MemoryError((12000, 12001), dtype('float64')))")
 
 
 # -- epsilon oracle -------------------------------------------------------------
 
 
-def test_state_reduction_matches_dense_reference_bit_for_bit(monkeypatch):
-    chains = []
+def test_state_reduction_matches_the_dense_reference_per_block(monkeypatch):
+    # Each block of the oracle's chains, reduced in place, against the dense
+    # reduction of its augmented chain [Q_in | B]: the same eliminations, a
+    # back-substitution that adds in another order.
+    blocks = []
+    state_reduction = solver._state_reduction
 
-    def capture(chain, stable=False):
-        chains.append(chain)
-        return absorption_probabilities(chain, stable)
+    def spy(inside, B):
+        got = state_reduction(inside, B)
+        blocks.append((inside.toarray(), B.copy(), got))
+        return got
 
-    monkeypatch.setattr("sinklimit.solver.absorption_probabilities", capture)
+    monkeypatch.setattr("sinklimit.solver._state_reduction", spy)
     for game in _tie_game_set():
         for eps in (1e-4, 1e-6, 1e-8):
             oracle_hitting_matrix(game, eps)
     oracle_hitting_matrix(identical_interest_game(9), 1e-8)
-    assert len(chains) == 3 * len(_tie_game_set()) + 1
-    assert chains[-1].matrix.shape == (482, 482)
-    for chain in chains:
-        got = _state_reduction_hitting(chain.matrix.tocsr(), chain.absorbing)
-        want = reference_state_reduction_hitting(chain.matrix.toarray(), chain.absorbing)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert max(inside.shape[0] for inside, _, _ in blocks) >= 8
+    for inside, B, got in blocks:
+        m, k = B.shape
+        P = np.zeros((m + k, m + k))
+        P[:m, :m], P[:m, m:] = inside, B
+        want = reference_state_reduction_hitting(P, np.arange(m + k) >= m)
+        assert np.array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_oracle_agrees_with_limit_on_2_to_the_11_profiles():
@@ -681,16 +736,40 @@ def test_oracle_fig3_pseudosink_row(fig3_game):
     assert hit.probabilities[8, 1] <= 1e-6
 
 
-def test_oracle_cauchy_convergence_in_eps():
+def integer_games() -> list:
+    """18 random integer games, 12 of 3 x 3 and 6 of 2 x 2 x 2."""
     games = [random_game(seed, 2, (3, 3), mode="integer") for seed in range(12)]
-    games += [random_game(seed, 3, (2, 2, 2), mode="integer") for seed in range(6)]
-    for game in games:
+    return games + [random_game(seed, 3, (2, 2, 2), mode="integer") for seed in range(6)]
+
+
+def test_oracle_cauchy_convergence_in_eps():
+    for game in integer_games():
         h4 = oracle_hitting_matrix(game, 1e-4).probabilities
         h6 = oracle_hitting_matrix(game, 1e-6).probabilities
         h8 = oracle_hitting_matrix(game, 1e-8).probabilities
         near = np.max(np.abs(h6 - h8))
         far = np.max(np.abs(h4 - h6))
         assert near <= far + 1e-12
+
+
+def test_oracle_at_1e_300_agrees_with_limit():
+    # Escape probabilities of 1e-300 next to ones: an LU block kernel finds
+    # `I - Q_in` singular here, while every pivot of the state reduction is
+    # a sum of nonnegative terms.
+    for game in _tie_game_set() + integer_games():
+        oracle = oracle_hitting_matrix(game, 1e-300)
+        hit = limit_hitting_probabilities(game)
+        assert oracle.sinks == hit.sinks
+        assert np.max(np.abs(oracle.probabilities - hit.probabilities)) <= 1e-12
+
+
+def test_gray_code_rows_sum_to_one():
+    # One improvement path through all 4,096 profiles: 4,096 levels of one
+    # state each, for the limit and for the oracle.
+    game = gray_code_game(12)
+    for hit in (limit_hitting_probabilities(game), oracle_hitting_matrix(game, 1e-8)):
+        assert hit.probabilities.shape == (4096, 1)
+        assert np.max(np.abs(hit.probabilities.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_oracle_rejects_oversized_eps():
